@@ -23,7 +23,7 @@ from reboost.core import (
     TrainTrace,
     UnboundedDescentError,
 )
-from reboost.learners import StumpFitter, fit_tree
+from reboost.learners import SplitIndex, fit_stump, fit_tree
 from reboost.linesearch import LineSearchOptions, line_search
 from reboost.losses import LossKind, empirical_risk, neg_gradient_inner, pseudo_residuals
 
@@ -157,13 +157,13 @@ class _FitSelector:
 
     def __init__(self, spec: LearnerSpec, X: np.ndarray):
         self.spec = spec
-        self.stumps = StumpFitter(X) if isinstance(spec, StumpLearner) else None
+        self.index = SplitIndex(X)
 
     def select(self, X: np.ndarray, residuals: np.ndarray):
-        if self.stumps is not None:
-            learner = self.stumps.fit(residuals)
+        if isinstance(self.spec, StumpLearner):
+            learner = fit_stump(self.index, residuals)
         else:
-            learner = fit_tree(X, residuals, self.spec.splits)
+            learner = fit_tree(self.index, residuals, self.spec.splits)
         gvals = learner.evaluate(X)
         if not np.any(gvals != 0.0):
             return None, None

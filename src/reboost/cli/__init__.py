@@ -87,7 +87,7 @@ def cmd_predict(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
     try:
-        X = _load_feature_matrix(args.data, model.n_features)
+        X = data_io.load_feature_matrix(args.data, model.n_features)
         preds = model.predict(X)
     except (OSError, data_io.CsvParseError, InvalidInputError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -98,37 +98,6 @@ def cmd_predict(args) -> int:
         fh.write("prediction\n")
         fh.writelines(f"{p:.17g}\n" for p in preds)
     return EXIT_OK
-
-
-def _load_feature_matrix(path, n_features) -> np.ndarray:
-    """Accept a features-only CSV or a dataset CSV whose last column is the
-    target (ignored when the width is one more than the model expects)."""
-    import csv as _csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise data_io.CsvParseError(f"{path}: empty file")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError as err:
-                raise data_io.CsvParseError(f"{path}:{lineno}: {err}") from None
-    X = np.array(rows)
-    if X.ndim != 2 or X.size == 0:
-        raise data_io.CsvParseError(f"{path}: no data rows")
-    if n_features is not None:
-        if X.shape[1] == n_features + 1:
-            X = X[:, :-1]
-        elif X.shape[1] != n_features:
-            raise InvalidInputError(
-                f"model expects {n_features} features, file has {X.shape[1]} columns"
-            )
-    return X
 
 
 _TOY_SIZES = {  # train rows, validation rows, noiseless test rows
@@ -154,6 +123,26 @@ def _toy_provider(experiment: str, sigma: float, q: int):
     return provider
 
 
+def _run_experiment(args, provider, grid, loss, learner) -> int:
+    """The shared tail of ``simulate`` and ``bench``: run every method over
+    ``args.runs`` seeds, then write and print the report."""
+    methods = tuple(args.methods) if args.methods else harness.METHODS
+    try:
+        report = harness.repeat_experiment(provider, methods, grid, loss,
+                                           learner, args.runs, args.seed)
+    except harness.TuningError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_TRAIN
+    if any(r.runs == 0 for r in report.rows):
+        failed = [r.method for r in report.rows if r.runs == 0]
+        print(f"error: every run failed for methods: {failed}", file=sys.stderr)
+        return EXIT_TRAIN
+    if args.report_out:
+        data_io.save_report_csv(args.report_out, report)
+    _print_report(report)
+    return EXIT_OK
+
+
 def _print_report(report: harness.ExperimentReport) -> None:
     for row in report.rows:
         print(f"{row.method:10s} mean={row.mean_metric:.6g} stderr={row.stderr:.3g} "
@@ -172,21 +161,7 @@ def cmd_simulate(args) -> int:
         k_max = args.k_max or 500
     grid = harness.TuningGrid(k_max=k_max)
     provider = _toy_provider(args.experiment, args.sigma, args.q)
-    methods = tuple(args.methods) if args.methods else harness.METHODS
-    try:
-        report = harness.repeat_experiment(provider, methods, grid, loss,
-                                           learner, args.runs, args.seed)
-    except harness.TuningError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_TRAIN
-    if any(r.runs == 0 for r in report.rows):
-        failed = [r.method for r in report.rows if r.runs == 0]
-        print(f"error: every run failed for methods: {failed}", file=sys.stderr)
-        return EXIT_TRAIN
-    if args.report_out:
-        data_io.save_report_csv(args.report_out, report)
-    _print_report(report)
-    return EXIT_OK
+    return _run_experiment(args, provider, grid, loss, learner)
 
 
 def cmd_bench(args) -> int:
@@ -198,25 +173,11 @@ def cmd_bench(args) -> int:
         return EXIT_DATA
     loss = LossKind.LOGISTIC if task is Task.CLASSIFICATION else LossKind.SQUARED
     grid = harness.TuningGrid(k_max=args.k_max or 1000)
-    methods = tuple(args.methods) if args.methods else harness.METHODS
 
     def provider(seed: int):
         return harness.split_dataset(data, (0.5, 0.25, 0.25), seed)
 
-    try:
-        report = harness.repeat_experiment(provider, methods, grid, loss,
-                                           boosters.StumpLearner(), args.runs, args.seed)
-    except harness.TuningError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_TRAIN
-    if any(r.runs == 0 for r in report.rows):
-        failed = [r.method for r in report.rows if r.runs == 0]
-        print(f"error: every run failed for methods: {failed}", file=sys.stderr)
-        return EXIT_TRAIN
-    if args.report_out:
-        data_io.save_report_csv(args.report_out, report)
-    _print_report(report)
-    return EXIT_OK
+    return _run_experiment(args, provider, grid, loss, boosters.StumpLearner())
 
 
 def cmd_convergence(args) -> int:
@@ -356,7 +317,3 @@ def main(argv=None) -> int:
     except (InvalidInputError, InvalidSpecError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FLAGS
-
-
-if __name__ == "__main__":
-    sys.exit(main())

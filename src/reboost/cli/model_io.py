@@ -9,6 +9,7 @@ against truncation and corruption.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 
 import numpy as np
@@ -90,6 +91,35 @@ def save_model(path, model: EnsembleModel, loss: LossKind, task: Task, seed: int
 
 
 def model_from_text(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
+    """Parse a model file; any malformed content raises ``InvalidInputError``."""
+    try:
+        return _parse_model(text)
+    except InvalidInputError:
+        raise
+    # json.JSONDecodeError is a ValueError
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as err:
+        raise InvalidInputError(
+            f"malformed model file: {type(err).__name__}: {err}"
+        ) from None
+
+
+def _finite(text: str, what: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise InvalidInputError(f"model {what} is not finite: {text}")
+    return value
+
+
+def _finite_term_value(text: str) -> float:
+    return _finite(text, "term value")
+
+
+# NaN, Infinity and overflowing literals such as 1e999 are all rejected
+_TERM_DECODER = json.JSONDecoder(parse_float=_finite_term_value,
+                                 parse_constant=_finite_term_value)
+
+
+def _parse_model(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
     lines = text.splitlines()
     if not lines or not lines[-1].startswith("checksum="):
         raise InvalidInputError("model file has no checksum footer")
@@ -115,10 +145,13 @@ def model_from_text(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
         else:
             key, _, value = line.partition("=")
             fields[key] = value
+    for key in ("loss", "task", "features", "seed", "intercept", "terms"):
+        if key not in fields:
+            raise InvalidInputError(f"model file has no {key}= line")
 
     n_features = int(fields["features"])
     model = EnsembleModel(None if n_features < 0 else n_features,
-                          float(fields["intercept"]))
+                          _finite(fields["intercept"], "intercept"))
     declared = int(fields["terms"])
     if declared != len(term_lines):
         raise InvalidInputError(
@@ -126,8 +159,8 @@ def model_from_text(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
         )
     for line in term_lines:
         _, coef_text, payload_text = line.split(" ", 2)
-        learner = _parse_learner(json.loads(payload_text))
-        model.terms.append((float(coef_text), learner))
+        payload = _TERM_DECODER.decode(payload_text)
+        model.terms.append((_finite(coef_text, "coefficient"), _parse_learner(payload)))
 
     loss = LossKind(fields["loss"])
     task = Task(fields["task"])
@@ -136,4 +169,8 @@ def model_from_text(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
 
 def load_model(path) -> tuple[EnsembleModel, LossKind, Task, int]:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise InvalidInputError(f"{path}: not UTF-8 text: {err}") from None
+    return model_from_text(text)

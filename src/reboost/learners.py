@@ -1,6 +1,9 @@
 """Weak learner dictionary: decision stumps, small least-squares CART trees,
 and piecewise-constant interval atoms for explicit finite dictionaries.
 
+Stumps and trees are fitted by one split search over a ``SplitIndex``: each
+feature of the fixed design matrix is sorted once, and every candidate
+split of every feature is scored from one 2-D prefix sum of the residuals.
 Fitting minimizes the squared error against pseudo-residuals, which is the
 practical surrogate for selecting the dictionary element with the largest
 normalized negative-gradient inner product (for two-leaf partitions the two
@@ -15,7 +18,8 @@ import numpy as np
 
 from reboost.core import InvalidInputError
 
-# a split must reduce the leaf SSE by more than this relative amount
+# a tree split must reduce the leaf SSE by more than this relative amount;
+# a stump splits whenever any feature has two distinct values
 _MIN_GAIN_REL = 1e-12
 
 
@@ -28,7 +32,6 @@ class DecisionStump:
     left_value: float
     right_value: float
     scale: float = 1.0
-    degenerate: bool = False  # no valid split existed (all rows identical)
 
     def evaluate(self, features) -> np.ndarray:
         X = np.atleast_2d(np.asarray(features, dtype=float))
@@ -39,9 +42,6 @@ class DecisionStump:
         out = np.where(X[:, self.feature] <= self.threshold,
                        self.left_value, self.right_value)
         return self.scale * out
-
-    def evaluate_row(self, x) -> float:
-        return float(self.evaluate(np.atleast_2d(x))[0])
 
     def describe(self) -> str:
         return f"stump[f{self.feature}@{self.threshold:.6g}]"
@@ -100,9 +100,6 @@ class RegressionTree:
                 stack.append((node.right, rows[~go_left]))
         return self.scale * out
 
-    def evaluate_row(self, x) -> float:
-        return float(self.evaluate(np.atleast_2d(x))[0])
-
     def describe(self) -> str:
         return f"tree[J{self.splits}]"
 
@@ -125,81 +122,19 @@ class IntervalAtom:
         col = X[:, self.feature]
         return np.where((col >= self.low) & (col < self.high), self.value, 0.0)
 
-    def evaluate_row(self, x) -> float:
-        return float(self.evaluate(np.atleast_2d(x))[0])
-
     def describe(self) -> str:
         return f"atom[{self.low:.6g},{self.high:.6g})"
 
 
-def _best_split(X: np.ndarray, r: np.ndarray):
-    """Best least-squares split of (X, r) over all feature/midpoint pairs.
+class SplitIndex:
+    """Presorted columns of one fixed design matrix for split search.
 
-    Returns (score, feature, threshold, left_mean, right_mean, left_count)
-    where score = S_L^2/n_L + S_R^2/n_R; maximizing the score minimizes the
-    split SSE. Returns None when no feature has two distinct values. Ties
-    are broken toward the lowest feature index, then the lowest threshold.
-    """
-    m = X.shape[0]
-    total = r.sum()
-    counts = np.arange(1, m)
-    best = None
-    for j in range(X.shape[1]):
-        v = X[:, j]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        boundary = vs[:-1] != vs[1:]
-        if not boundary.any():
-            continue
-        left_sums = np.cumsum(r[order])[:-1]
-        score = np.where(
-            boundary,
-            left_sums * left_sums / counts
-            + (total - left_sums) ** 2 / (m - counts),
-            -np.inf,
-        )
-        p = int(np.argmax(score))
-        if best is None or score[p] > best[0]:
-            thr = 0.5 * (vs[p] + vs[p + 1])
-            if not (vs[p] <= thr < vs[p + 1]):  # midpoint rounded onto a datum
-                thr = vs[p]
-            n_left = p + 1
-            best = (
-                float(score[p]),
-                j,
-                float(thr),
-                float(left_sums[p] / n_left),
-                float((total - left_sums[p]) / (m - n_left)),
-                n_left,
-            )
-    return best
-
-
-def fit_stump(features, residuals) -> DecisionStump:
-    """Least-squares optimal stump over all (feature, midpoint) candidates."""
-    X = np.atleast_2d(np.asarray(features, dtype=float))
-    r = np.asarray(residuals, dtype=float).ravel()
-    if X.shape[0] < 2 or X.shape[0] != r.shape[0]:
-        raise InvalidInputError("need at least 2 rows and matching residuals")
-    found = _best_split(X, r)
-    if found is None:
-        mu = float(r.mean())
-        return DecisionStump(0, float(X[0, 0]), mu, mu, degenerate=True)
-    _, j, thr, _, _, _ = found
-    left = X[:, j] <= thr
-    # leaf means recomputed from the partition masks (not the prefix sums)
-    # so they match a direct exhaustive scan bit for bit
-    return DecisionStump(j, thr, float(r[left].mean()), float(r[~left].mean()))
-
-
-class StumpFitter:
-    """Repeated stump fitting against one fixed design matrix.
-
-    Boosting refits a stump to fresh residuals every iteration while the
-    feature order never changes, so the per-feature sort, the distinct-value
-    boundaries and the candidate thresholds are computed once up front.
-    Produces the same stump as ``fit_stump`` (same scoring arithmetic, same
-    tie-breaking).
+    Boosting refits a learner to fresh residuals every iteration while the
+    design matrix never changes, so each feature is sorted once (stably) up
+    front. A tree node keeps its rows by filtering the presorted order with
+    a membership mask; filtering a stable sort keeps the tie order of a
+    fresh stable sort of the node's rows, so the search picks the same split
+    as one that re-sorts at every node.
     """
 
     def __init__(self, features):
@@ -207,49 +142,88 @@ class StumpFitter:
         if X.shape[0] < 2:
             raise InvalidInputError("need at least 2 rows")
         self.X = X
-        m = X.shape[0]
-        self._counts = np.arange(1, m)
-        self._columns = []  # (feature, order, boundary mask, thresholds)
-        for j in range(X.shape[1]):
-            order = np.argsort(X[:, j], kind="stable")
-            vs = X[order, j]
-            boundary = vs[:-1] != vs[1:]
-            if not boundary.any():
-                continue
-            thr = 0.5 * (vs[:-1] + vs[1:])
-            rounded = ~((vs[:-1] <= thr) & (thr < vs[1:]))
-            thr[rounded] = vs[:-1][rounded]
-            self._columns.append((j, order, boundary, thr))
+        columns = np.ascontiguousarray(X.T)
+        self.order = np.argsort(columns, axis=1, kind="stable")  # (d, m)
+        self.values = np.take_along_axis(columns, self.order, axis=1)
+        self.boundary = self.values[:, :-1] != self.values[:, 1:]
 
-    def fit(self, residuals) -> DecisionStump:
-        r = np.asarray(residuals, dtype=float).ravel()
-        m = self.X.shape[0]
-        if r.shape[0] != m:
-            raise InvalidInputError("residual length mismatch")
-        if not self._columns:
-            mu = float(r.mean())
-            return DecisionStump(0, float(self.X[0, 0]), mu, mu, degenerate=True)
-        total = r.sum()
-        counts = self._counts
-        best = None
-        for j, order, boundary, thr in self._columns:
-            left_sums = np.cumsum(r[order])[:-1]
-            score = np.where(
-                boundary,
-                left_sums * left_sums / counts
-                + (total - left_sums) ** 2 / (m - counts),
-                -np.inf,
-            )
-            p = int(np.argmax(score))
-            if best is None or score[p] > best[0]:
-                best = (float(score[p]), j, float(thr[p]))
-        _, j, threshold = best
-        left = self.X[:, j] <= threshold
-        return DecisionStump(j, threshold,
-                             float(r[left].mean()), float(r[~left].mean()))
+    @property
+    def n_rows(self) -> int:
+        return self.X.shape[0]
+
+    def best_split(self, r: np.ndarray, rows: np.ndarray | None = None):
+        """Best least-squares split of the rows ``rows`` (ascending distinct
+        indices; None for all rows) against residuals ``r``, over every
+        feature/midpoint pair.
+
+        Returns (score, feature, threshold, left_mean, right_mean) where
+        score = S_L^2/n_L + S_R^2/n_R; maximizing the score minimizes the
+        split SSE. Returns None when no feature has two distinct values
+        among the rows. Ties are broken toward the lowest feature index,
+        then the lowest threshold.
+        """
+        order, values, boundary = self.order, self.values, self.boundary
+        if rows is None or rows.size == self.n_rows:
+            total = r.sum()
+        else:
+            member = np.zeros(self.n_rows, dtype=bool)
+            member[rows] = True
+            keep = member[order]
+            order = order[keep].reshape(-1, rows.size)
+            values = values[keep].reshape(-1, rows.size)
+            boundary = values[:, :-1] != values[:, 1:]
+            total = r[rows].sum()
+        if not boundary.any():
+            return None
+        m = order.shape[1]
+        counts = np.arange(1.0, m)  # float: no int-to-float cast per element
+        left_sums = np.cumsum(r[order], axis=1)[:, :-1]
+        # in place: at large m the (d, m) temporaries cost more than the sums
+        score = np.multiply(left_sums, left_sums)
+        score /= counts
+        right = np.subtract(total, left_sums)
+        right *= right
+        right /= m - counts
+        score += right
+        score[~boundary] = -np.inf
+        j, p = divmod(int(np.argmax(score)), m - 1)
+        lo, hi = values[j, p], values[j, p + 1]
+        thr = 0.5 * (lo + hi)
+        if not (lo <= thr < hi):  # midpoint rounded onto a datum
+            thr = lo
+        n_left = p + 1
+        return (float(score[j, p]), j, float(thr),
+                float(left_sums[j, p] / n_left),
+                float((total - left_sums[j, p]) / (m - n_left)))
 
 
-def fit_tree(features, residuals, splits: int) -> RegressionTree:
+def _residuals(index: SplitIndex, residuals) -> np.ndarray:
+    r = np.asarray(residuals, dtype=float).ravel()
+    if r.shape[0] != index.n_rows:
+        raise InvalidInputError(
+            f"{r.shape[0]} residuals for {index.n_rows} rows"
+        )
+    return r
+
+
+def fit_stump(index: SplitIndex, residuals) -> DecisionStump:
+    """Least-squares optimal stump over all (feature, midpoint) candidates.
+
+    With no valid split (all rows identical) both leaves carry the mean.
+    """
+    r = _residuals(index, residuals)
+    found = index.best_split(r)
+    if found is None:
+        mu = float(r.mean())
+        return DecisionStump(0, float(index.X[0, 0]), mu, mu)
+    _, j, thr, _, _ = found
+    left = index.X[:, j] <= thr
+    # leaf means recomputed from the partition masks (not the prefix sums)
+    # so they match a direct exhaustive scan bit for bit
+    return DecisionStump(j, thr, float(r[left].mean()), float(r[~left].mean()))
+
+
+def fit_tree(index: SplitIndex, residuals, splits: int) -> RegressionTree:
     """Greedy best-first CART with ``splits`` internal nodes.
 
     Each round splits the leaf whose best split yields the largest squared
@@ -258,8 +232,8 @@ def fit_tree(features, residuals, splits: int) -> RegressionTree:
     """
     if splits < 1:
         raise InvalidInputError(f"splits must be >= 1, got {splits}")
-    X = np.atleast_2d(np.asarray(features, dtype=float))
-    r = np.asarray(residuals, dtype=float).ravel()
+    r = _residuals(index, residuals)
+    X = index.X
     if X.shape[0] < splits + 1:
         raise InvalidInputError(f"need at least {splits + 1} rows for {splits} splits")
 
@@ -268,11 +242,11 @@ def fit_tree(features, residuals, splits: int) -> RegressionTree:
     pending: dict[int, tuple[np.ndarray, tuple | None, float]] = {}
 
     def leaf_candidate(node_id: int, rows: np.ndarray) -> None:
-        sub_r = r[rows]
-        found = _best_split(X[rows], sub_r) if rows.size >= 2 else None
+        found = index.best_split(r, rows) if rows.size >= 2 else None
         if found is None:
             pending[node_id] = (rows, None, 0.0)
             return
+        sub_r = r[rows]
         sse = float(np.sum((sub_r - sub_r.mean()) ** 2))
         reduction = found[0] - sub_r.sum() ** 2 / rows.size
         if reduction <= _MIN_GAIN_REL * sse:
@@ -291,7 +265,7 @@ def fit_tree(features, residuals, splits: int) -> RegressionTree:
         if target < 0:
             break
         rows, found, _ = pending.pop(target)
-        _, j, thr, left_mean, right_mean, _ = found
+        _, j, thr, left_mean, right_mean = found
         go_left = X[rows, j] <= thr
         left_id, right_id = len(nodes), len(nodes) + 1
         nodes.append(TreeNode(value=left_mean))
@@ -302,17 +276,3 @@ def fit_tree(features, residuals, splits: int) -> RegressionTree:
         done += 1
 
     return RegressionTree(nodes=tuple(nodes), splits=done)
-
-
-def normalize_dictionary_outputs(gvals_stack) -> np.ndarray:
-    """Scale candidate outputs so the per-sample sum of squares is 1.
-
-    ``gvals_stack`` is (n_samples, n_candidates): row s holds every
-    candidate's output at sample s. Realizes the unit-bound dictionary
-    normalization used by the synthetic convergence experiment.
-    """
-    G = np.atleast_2d(np.asarray(gvals_stack, dtype=float))
-    norms = np.sqrt(np.sum(G * G, axis=1))
-    if np.any(norms == 0.0):
-        raise InvalidInputError("a sample row has all-zero candidate outputs")
-    return G / norms[:, None]

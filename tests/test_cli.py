@@ -1,0 +1,138 @@
+import csv
+import zlib
+
+import numpy as np
+import pytest
+
+from reboost.boosters import Rescale, ShrinkageSchedule, StumpLearner, TrainConfig, train
+from reboost.cli import EXIT_DATA, EXIT_OK, main
+from reboost.cli.model_io import model_to_text
+from reboost.core import Dataset, Task
+from reboost.losses import LossKind
+
+
+def with_checksum(body_lines):
+    body = "\n".join(body_lines) + "\n"
+    return body + f"checksum={zlib.crc32(body.encode('utf-8')) & 0xFFFFFFFF:08x}\n"
+
+
+@pytest.fixture
+def model_lines():
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.normal(size=(30, 2)), rng.normal(size=30), Task.REGRESSION)
+    config = TrainConfig(3, LossKind.SQUARED, StumpLearner(),
+                         Rescale(ShrinkageSchedule.theorem()))
+    model, _ = train(data, config, 0)
+    return model_to_text(model, LossKind.SQUARED, Task.REGRESSION, 0).splitlines()[:-1]
+
+
+def write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def predict(tmp_path, model_text, data_text="x1,x2\n0.5,-1.0\n2.0,0.25\n"):
+    return main(["predict", "--model", write(tmp_path / "model.txt", model_text),
+                 "--data", write(tmp_path / "x.csv", data_text),
+                 "--out", str(tmp_path / "out.csv")])
+
+
+class TestPredictModelErrors:
+    def test_valid_model_predicts(self, tmp_path, model_lines):
+        assert predict(tmp_path, with_checksum(model_lines)) == EXIT_OK
+
+    def test_missing_features_line(self, tmp_path, model_lines, capsys):
+        lines = [ln for ln in model_lines if not ln.startswith("features=")]
+        assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
+        assert "features=" in capsys.readouterr().err
+
+    def test_bad_term_json(self, tmp_path, model_lines):
+        lines = [ln + "}" if ln.startswith("term ") else ln for ln in model_lines]
+        assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
+
+    def test_non_integer_version(self, tmp_path, model_lines):
+        lines = ["reboost-model one"] + model_lines[1:]
+        assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
+
+    def test_nan_coefficient(self, tmp_path, model_lines, capsys):
+        i = next(i for i, ln in enumerate(model_lines) if ln.startswith("term "))
+        _, _, payload = model_lines[i].split(" ", 2)
+        lines = model_lines[:i] + [f"term nan {payload}"] + model_lines[i + 1:]
+        assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
+        assert "not finite" in capsys.readouterr().err
+
+    def test_infinite_intercept(self, tmp_path, model_lines):
+        lines = ["intercept=inf" if ln.startswith("intercept=") else ln
+                 for ln in model_lines]
+        assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
+
+    @pytest.mark.parametrize("value", ["NaN", "-Infinity", "1e999", "1" + "0" * 400],
+                             ids=["nan", "-inf", "float-overflow", "int-overflow"])
+    def test_non_finite_term_value(self, tmp_path, model_lines, value):
+        i = next(i for i, ln in enumerate(model_lines) if ln.startswith("term "))
+        coef, payload = model_lines[i].split(" ", 2)[1:]
+        payload = payload.replace('"left":', f'"left":{value},"was":', 1)
+        lines = model_lines[:i] + [f"term {coef} {payload}"] + model_lines[i + 1:]
+        assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
+
+
+    def test_non_utf8_model(self, tmp_path, model_lines):
+        text = with_checksum(model_lines).encode("utf-8")
+        (tmp_path / "model.bin").write_bytes(text.replace(b"seed=", b"\xffseed=", 1))
+        code = main(["predict", "--model", str(tmp_path / "model.bin"),
+                     "--data", write(tmp_path / "x.csv", "x1,x2\n0.5,1.0\n"),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == EXIT_DATA
+
+
+class TestPredictDataErrors:
+    def test_ragged_row(self, tmp_path, model_lines, capsys):
+        code = predict(tmp_path, with_checksum(model_lines), "x1,x2\n0.5,1.0\n2.0\n")
+        assert code == EXIT_DATA
+        assert ":3: expected 2 columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature(self, tmp_path, model_lines, cell, capsys):
+        code = predict(tmp_path, with_checksum(model_lines), f"x1,x2\n0.5,1.0\n{cell},2.0\n")
+        assert code == EXIT_DATA
+        assert ":3: column 1 ('x1') is not a finite number" in capsys.readouterr().err
+
+    def test_non_numeric_feature(self, tmp_path, model_lines, capsys):
+        code = predict(tmp_path, with_checksum(model_lines), "x1,x2\n\n0.5,1.0\n2.0,abc\n")
+        assert code == EXIT_DATA
+        assert ":4: column 2 ('x2')" in capsys.readouterr().err
+
+    def test_non_utf8_file(self, tmp_path, model_lines, capsys):
+        (tmp_path / "x.bin").write_bytes(b"x1,x2\n0.5,\xff1.0\n")
+        code = main(["predict", "--model", write(tmp_path / "model.txt",
+                                                  with_checksum(model_lines)),
+                     "--data", str(tmp_path / "x.bin"), "--out", str(tmp_path / "out.csv")])
+        assert code == EXIT_DATA
+        assert "not UTF-8 text" in capsys.readouterr().err
+
+    def test_dataset_csv_target_column_dropped(self, tmp_path, model_lines):
+        code = predict(tmp_path, with_checksum(model_lines), "x1,x2,y\n0.5,1.0,3.0\n")
+        assert code == EXIT_OK
+
+
+class TestTrainTraceCsv:
+    def test_every_trace_field_written(self, tmp_path):
+        # separable labels with exponential loss: the first step is capped
+        data = write(tmp_path / "d.csv", "x,y\n-2,-1\n-1,-1\n1,1\n2,1\n")
+        trace_out = tmp_path / "trace.csv"
+        code = main(["train", "--data", data, "--task", "classification",
+                     "--loss", "exponential", "--variant", "plain",
+                     "--iterations", "2", "--model-out", str(tmp_path / "m.txt"),
+                     "--trace-out", str(trace_out)])
+        assert code == EXIT_OK
+        with open(trace_out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["k", "learner", "beta", "alpha", "risk", "note"]
+        assert rows[0]["note"] == "capped-beta"
+        assert rows[0]["learner"].startswith("stump[")
+        assert abs(float(rows[0]["beta"])) == 2.0 ** 60
+
+    def test_non_finite_training_target_rejected(self, tmp_path):
+        data = write(tmp_path / "d.csv", "x,y\n1,0.5\n2,nan\n")
+        code = main(["train", "--data", data, "--model-out", str(tmp_path / "m.txt")])
+        assert code == EXIT_DATA

@@ -1,16 +1,88 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reboost.core import InvalidInputError
 from reboost.learners import (
+    _MIN_GAIN_REL,
     DecisionStump,
     IntervalAtom,
     RegressionTree,
-    StumpFitter,
+    SplitIndex,
+    TreeNode,
     fit_stump,
     fit_tree,
-    normalize_dictionary_outputs,
 )
+
+
+def resort_best_split(X, r):
+    """Reference split search that sorts the node's rows again for every
+    feature: (score, feature, threshold, left_mean, right_mean) or None."""
+    m = X.shape[0]
+    total = r.sum()
+    counts = np.arange(1, m)
+    best = None
+    for j in range(X.shape[1]):
+        v = X[:, j]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        boundary = vs[:-1] != vs[1:]
+        if not boundary.any():
+            continue
+        left_sums = np.cumsum(r[order])[:-1]
+        score = np.where(
+            boundary,
+            left_sums * left_sums / counts
+            + (total - left_sums) ** 2 / (m - counts),
+            -np.inf,
+        )
+        p = int(np.argmax(score))
+        if best is None or score[p] > best[0]:
+            thr = 0.5 * (vs[p] + vs[p + 1])
+            if not (vs[p] <= thr < vs[p + 1]):
+                thr = vs[p]
+            n_left = p + 1
+            best = (float(score[p]), j, float(thr),
+                    float(left_sums[p] / n_left),
+                    float((total - left_sums[p]) / (m - n_left)))
+    return best
+
+
+def resort_tree(X, r, splits):
+    """Reference best-first tree built on ``resort_best_split``."""
+    nodes = [TreeNode(value=float(r.mean()))]
+    pending = {}
+
+    def leaf_candidate(node_id, rows):
+        sub_r = r[rows]
+        found = resort_best_split(X[rows], sub_r) if rows.size >= 2 else None
+        reduction = 0.0
+        if found is not None:
+            sse = float(np.sum((sub_r - sub_r.mean()) ** 2))
+            reduction = found[0] - sub_r.sum() ** 2 / rows.size
+            if reduction <= _MIN_GAIN_REL * sse:
+                found, reduction = None, 0.0
+        pending[node_id] = (rows, found, float(reduction))
+
+    leaf_candidate(0, np.arange(X.shape[0]))
+    done = 0
+    while done < splits:
+        target, target_red = -1, 0.0
+        for node_id, (_, found, reduction) in pending.items():
+            if found is not None and reduction > target_red:
+                target, target_red = node_id, reduction
+        if target < 0:
+            break
+        rows, (_, j, thr, left_mean, right_mean), _ = pending.pop(target)
+        go_left = X[rows, j] <= thr
+        left_id, right_id = len(nodes), len(nodes) + 1
+        nodes += [TreeNode(value=left_mean), TreeNode(value=right_mean)]
+        nodes[target] = TreeNode(feature=j, threshold=thr, left=left_id, right=right_id)
+        leaf_candidate(left_id, rows[go_left])
+        leaf_candidate(right_id, rows[~go_left])
+        done += 1
+    return tuple(nodes), done
 
 
 def brute_force_stump(X, r):
@@ -44,8 +116,7 @@ def tree_sse(tree, X, r):
 class TestEvaluate:
     def test_tie_goes_left(self):
         s = DecisionStump(0, 1.5, -1.0, 1.0)
-        assert s.evaluate_row([1.5]) == -1.0
-        assert s.evaluate_row([2.0]) == 1.0
+        assert np.array_equal(s.evaluate([[1.5], [2.0]]), [-1.0, 1.0])
 
     def test_feature_out_of_range(self):
         s = DecisionStump(3, 0.0, -1.0, 1.0)
@@ -55,7 +126,7 @@ class TestEvaluate:
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(50, 2))
-        t = fit_tree(X, rng.normal(size=50), 3)
+        t = fit_tree(SplitIndex(X), rng.normal(size=50), 3)
         a, b = t.evaluate(X), t.evaluate(X)
         assert np.array_equal(a, b)
 
@@ -67,7 +138,6 @@ class TestEvaluate:
             dict(feature=1, threshold=0.5, left=5, right=6),
             dict(value=1.0), dict(value=2.0), dict(value=3.0), dict(value=4.0),
         )
-        from reboost.learners import TreeNode
         tree = RegressionTree(nodes=tuple(TreeNode(**n) for n in nodes), splits=3)
 
         def manual(x):
@@ -81,7 +151,7 @@ class TestEvaluate:
 
     def test_scale_multiplies_output(self):
         s = DecisionStump(0, 0.0, -2.0, 2.0, scale=0.5)
-        assert s.evaluate_row([1.0]) == 1.0
+        assert np.array_equal(s.evaluate([[1.0]]), [1.0])
 
     def test_interval_atom(self):
         a = IntervalAtom(0.25, 0.5, 2.0)
@@ -93,14 +163,14 @@ class TestFitStump:
     def test_clean_separation(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         r = np.array([1.0, 1.0, -1.0, -1.0])
-        s = fit_stump(X, r)
+        s = fit_stump(SplitIndex(X), r)
         assert 1.0 < s.threshold < 2.0
         assert s.left_value == pytest.approx(1.0)
         assert s.right_value == pytest.approx(-1.0)
 
     def test_constant_residuals(self):
         X = np.arange(6.0).reshape(-1, 1)
-        s = fit_stump(X, np.full(6, 3.2))
+        s = fit_stump(SplitIndex(X), np.full(6, 3.2))
         assert s.left_value == pytest.approx(3.2)
         assert s.right_value == pytest.approx(3.2)
         assert stump_sse(s, X, np.full(6, 3.2)) == pytest.approx(0.0, abs=1e-20)
@@ -108,8 +178,7 @@ class TestFitStump:
     def test_degenerate_rows(self):
         X = np.ones((5, 2))
         r = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        s = fit_stump(X, r)
-        assert s.degenerate
+        s = fit_stump(SplitIndex(X), r)
         assert s.left_value == s.right_value == pytest.approx(3.0)
 
     def test_matches_exhaustive_scan(self):
@@ -119,7 +188,7 @@ class TestFitStump:
             d = int(rng.integers(1, 5))
             X = rng.normal(size=(m, d))
             r = rng.normal(size=m)
-            fitted = fit_stump(X, r)
+            fitted = fit_stump(SplitIndex(X), r)
             oracle_sse = brute_force_stump(X, r)[0]
             assert stump_sse(fitted, X, r) == oracle_sse
 
@@ -127,7 +196,7 @@ class TestFitStump:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, 3))
         r = rng.normal(size=30)
-        s = fit_stump(X, r)
+        s = fit_stump(SplitIndex(X), r)
         assert r.min() <= s.left_value <= r.max()
         assert r.min() <= s.right_value <= r.max()
 
@@ -138,7 +207,7 @@ class TestFitStump:
         for _ in range(20):
             X = rng.normal(size=(12, 2))
             u = rng.normal(size=12)
-            fitted = fit_stump(X, u)
+            fitted = fit_stump(SplitIndex(X), u)
             g = fitted.evaluate(X)
             best_ip = np.dot(u, g) / np.linalg.norm(g)
             for j in range(2):
@@ -149,21 +218,81 @@ class TestFitStump:
                     assert ip <= best_ip + 1e-9
 
 
-class TestStumpFitter:
-    def test_agrees_with_fit_stump(self):
+class TestSplitIndex:
+    def test_reused_index_matches_fresh_index(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             X = rng.normal(size=(25, 3))
-            fitter = StumpFitter(X)
+            index = SplitIndex(X)
             for _ in range(3):
                 r = rng.normal(size=25)
-                assert fitter.fit(r) == fit_stump(X, r)
+                assert fit_stump(index, r) == fit_stump(SplitIndex(X), r)
+                assert fit_tree(index, r, 3) == fit_tree(SplitIndex(X), r, 3)
 
     def test_handles_duplicate_feature_values(self):
         rng = np.random.default_rng(6)
         X = rng.integers(0, 3, size=(40, 2)).astype(float)
-        r = rng.normal(size=40)
-        assert StumpFitter(X).fit(r) == fit_stump(X, r)
+        index = SplitIndex(X)
+        for _ in range(3):
+            r = rng.normal(size=40)
+            assert stump_sse(fit_stump(index, r), X, r) == brute_force_stump(X, r)[0]
+
+    def test_residual_length_mismatch(self):
+        index = SplitIndex(np.arange(4.0).reshape(-1, 1))
+        with pytest.raises(InvalidInputError):
+            fit_stump(index, np.ones(3))
+
+    def test_single_row_rejected(self):
+        with pytest.raises(InvalidInputError):
+            SplitIndex(np.ones((1, 2)))
+
+
+@st.composite
+def design_and_residuals(draw):
+    m = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(m, d))
+    kinds = draw(st.lists(st.sampled_from(("real", "ties", "constant")),
+                          min_size=d, max_size=d))
+    for j, kind in enumerate(kinds):
+        if kind == "ties":
+            X[:, j] = rng.integers(0, 3, size=m)
+        elif kind == "constant":
+            X[:, j] = 2.5
+    if draw(st.booleans()):
+        r = rng.integers(-2, 3, size=m).astype(float)  # tied scores
+    else:
+        r = rng.normal(size=m)
+    return X, r, draw(st.integers(1, 7))
+
+
+class TestSplitIndexOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(design_and_residuals())
+    def test_tree_equals_resorting_oracle(self, case):
+        X, r, splits = case
+        if X.shape[0] < splits + 1:
+            splits = X.shape[0] - 1
+        tree = fit_tree(SplitIndex(X), r, splits)
+        nodes, done = resort_tree(X, r, splits)
+        assert tree.nodes == nodes
+        assert tree.splits == done
+
+    @settings(max_examples=300, deadline=None)
+    @given(design_and_residuals())
+    def test_stump_equals_resorting_oracle(self, case):
+        X, r, _ = case
+        stump = fit_stump(SplitIndex(X), r)
+        found = resort_best_split(X, r)
+        if found is None:
+            assert stump.left_value == stump.right_value == float(r.mean())
+            return
+        _, j, thr, _, _ = found
+        left = X[:, j] <= thr
+        assert stump == DecisionStump(j, thr, float(r[left].mean()),
+                                      float(r[~left].mean()))
 
 
 class TestFitTree:
@@ -171,8 +300,8 @@ class TestFitTree:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(30, 3))
         r = rng.normal(size=30)
-        tree = fit_tree(X, r, 1)
-        stump = fit_stump(X, r)
+        tree = fit_tree(SplitIndex(X), r, 1)
+        stump = fit_stump(SplitIndex(X), r)
         root = tree.nodes[0]
         assert (root.feature, root.threshold) == (stump.feature, stump.threshold)
         assert np.allclose(tree.evaluate(X), stump.evaluate(X))
@@ -180,19 +309,19 @@ class TestFitTree:
     def test_constant_residuals_single_leaf(self):
         X = np.arange(10.0).reshape(-1, 1)
         r = np.full(10, 1.5)
-        tree = fit_tree(X, r, 4)
+        tree = fit_tree(SplitIndex(X), r, 4)
         assert tree.splits == 0
         assert tree_sse(tree, X, r) == pytest.approx(0.0, abs=1e-20)
 
     def test_invalid_splits(self):
         with pytest.raises(InvalidInputError):
-            fit_tree(np.ones((5, 1)), np.ones(5), 0)
+            fit_tree(SplitIndex(np.ones((5, 1))), np.ones(5), 0)
 
     def test_structure_counts(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(64, 2))
         r = rng.normal(size=64)
-        tree = fit_tree(X, r, 4)
+        tree = fit_tree(SplitIndex(X), r, 4)
         internal = [n for n in tree.nodes if not n.is_leaf]
         leaves = [n for n in tree.nodes if n.is_leaf]
         assert len(internal) == 4 and len(leaves) == 5
@@ -201,41 +330,22 @@ class TestFitTree:
         rng = np.random.default_rng(9)
         grid = np.array([(i, j) for i in range(8) for j in range(8)], dtype=float)
         r = ((grid[:, 0] // 4 + grid[:, 1] // 4) % 2 * 2.0 - 1.0)
-        tree = fit_tree(grid, r, 4)
-        stump = fit_stump(grid, r)
+        tree = fit_tree(SplitIndex(grid), r, 4)
+        stump = fit_stump(SplitIndex(grid), r)
         assert tree_sse(tree, grid, r) <= stump_sse(stump, grid, r)
 
     def test_sse_nonincreasing_in_splits(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(60, 3))
         r = rng.normal(size=60)
-        sses = [tree_sse(fit_tree(X, r, j), X, r) for j in range(1, 8)]
+        sses = [tree_sse(fit_tree(SplitIndex(X), r, j), X, r) for j in range(1, 8)]
         assert all(a >= b - 1e-12 for a, b in zip(sses[:-1], sses[1:]))
 
     def test_leaf_values_within_residual_range(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(40, 2))
         r = rng.normal(size=40)
-        tree = fit_tree(X, r, 4)
+        tree = fit_tree(SplitIndex(X), r, 4)
         for n in tree.nodes:
             if n.is_leaf:
                 assert r.min() - 1e-12 <= n.value <= r.max() + 1e-12
-
-
-class TestNormalizeDictionaryOutputs:
-    def test_two_equal_candidates(self):
-        out = normalize_dictionary_outputs([[1.0, 1.0]])
-        assert out[0] == pytest.approx([1.0 / np.sqrt(2.0)] * 2)
-
-    def test_single_candidate_sign(self):
-        assert normalize_dictionary_outputs([[-3.0]])[0, 0] == pytest.approx(-1.0)
-
-    def test_row_sums_of_squares_are_one(self):
-        rng = np.random.default_rng(12)
-        G = rng.normal(size=(50, 4))
-        out = normalize_dictionary_outputs(G)
-        assert np.allclose(np.sum(out * out, axis=1), 1.0, atol=1e-12)
-
-    def test_all_zero_row_rejected(self):
-        with pytest.raises(InvalidInputError):
-            normalize_dictionary_outputs([[1.0, 2.0], [0.0, 0.0]])
