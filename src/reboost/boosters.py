@@ -33,9 +33,10 @@ class ShrinkageSchedule:
     """Per-iteration rescale degree alpha_k = c4 / (c5 * k + c6).
 
     Construction only pins the shape (non-negative, non-increasing);
-    the [0, 1) range is enforced where a degree is actually evaluated,
-    so a schedule like 2/(k+1) is usable wherever its first degree is
-    never requested and fails loudly where it is.
+    the [0, 1] range is enforced where a degree is actually evaluated,
+    so a schedule like 3/(k+1) is usable wherever its first degree is
+    never requested and fails loudly where it is. alpha_1 = 1 is legal:
+    it rescales the zero model f_0.
     """
 
     c4: float
@@ -60,13 +61,9 @@ class ShrinkageSchedule:
         if k < 1:
             raise InvalidInputError(f"iteration index must be >= 1, got {k}")
         a = self.c4 / (self.c5 * k + self.c6)
-        if not (0.0 <= a < 1.0):
-            raise InvalidSpecError(f"alpha_{k} = {a} outside [0, 1)")
+        if not (0.0 <= a <= 1.0):
+            raise InvalidSpecError(f"alpha_{k} = {a} outside [0, 1]")
         return a
-
-
-def alpha_at(schedule: ShrinkageSchedule, k: int) -> float:
-    return schedule.alpha(k)
 
 
 @dataclass(frozen=True)
@@ -216,31 +213,24 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
             trace.stopped_early = f"degenerate direction at iteration {k}"
             break
 
-        alpha = 0.0
-        note = ""
+        alpha, note = 0.0, ""
         if isinstance(variant, Rescale):
             alpha = variant.schedule.alpha(k)
-            base = (1.0 - alpha) * preds if alpha != 0.0 else preds
-            beta, note = _searched_step(config.loss, base, gvals, y, opts)
             model.rescale(alpha)
-        elif isinstance(variant, Plain):
-            base = preds
-            beta, note = _searched_step(config.loss, base, gvals, y, opts)
-        elif isinstance(variant, Shrunk):
-            base = preds
-            raw, note = _searched_step(config.loss, base, gvals, y, opts)
-            beta = variant.nu * raw
-        elif isinstance(variant, Truncated):
-            base = preds
+        base = (1.0 - alpha) * preds
+        if isinstance(variant, Truncated):
             bounded = LineSearchOptions(tolerance=opts.tolerance, bound=variant.bound_at(k))
             beta = line_search(config.loss, base, gvals, y, bounded)
-        else:  # Epsilon: fixed step along the descent sign
-            base = preds
-            direction = np.sign(neg_gradient_inner(config.loss, preds, y, gvals))
+        elif isinstance(variant, Epsilon):  # fixed step along the descent sign
+            direction = np.sign(neg_gradient_inner(config.loss, base, y, gvals))
             if direction == 0.0:
                 trace.stopped_early = f"degenerate direction at iteration {k}"
                 break
             beta = variant.eps * direction
+        else:  # Plain is Shrunk with nu = 1
+            beta, note = _searched_step(config.loss, base, gvals, y, opts)
+            if isinstance(variant, Shrunk):
+                beta = variant.nu * beta
 
         model.add_term(beta, learner)
         preds = base + beta * gvals

@@ -1,7 +1,8 @@
 """Command-line surface: train, predict, simulate, bench, convergence, fetch.
 
-Exit codes: 0 success, 2 invalid flags, 3 data/model parse error,
-4 training failure, 5 network failure, 6 checksum mismatch.
+Exit codes: 0 success, 2 invalid flags, 3 data/model parse error or an
+output file that cannot be written, 4 training failure, 5 network failure,
+6 checksum mismatch.
 """
 
 from __future__ import annotations
@@ -137,9 +138,9 @@ def _run_experiment(args, provider, grid, loss, learner) -> int:
         failed = [r.method for r in report.rows if r.runs == 0]
         print(f"error: every run failed for methods: {failed}", file=sys.stderr)
         return EXIT_TRAIN
+    _print_report(report)
     if args.report_out:
         data_io.save_report_csv(args.report_out, report)
-    _print_report(report)
     return EXIT_OK
 
 
@@ -317,3 +318,6 @@ def main(argv=None) -> int:
     except (InvalidInputError, InvalidSpecError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FLAGS
+    except OSError as err:  # an output file that cannot be written
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_DATA

@@ -1,5 +1,6 @@
-"""CSV interchange: datasets (header + numeric rows, target last), trained
-reports (one row per method) and per-iteration traces."""
+"""CSV interchange: reads datasets (header + numeric rows, target last) and
+feature matrices, writes experiment reports (one row per method) and
+per-iteration traces."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import fields
 import numpy as np
 
 from reboost.core import Dataset, InvalidInputError, Task, TraceRecord
-from reboost.harness import ExperimentReport, MethodResult
+from reboost.harness import ExperimentReport
 
 REPORT_COLUMNS = ("method", "mean_metric", "stderr", "chosen_params", "chosen_k", "runs")
 
@@ -97,15 +98,6 @@ def _is_finite_number(cell: str) -> bool:
         return False
 
 
-def save_dataset_csv(path, data: Dataset, feature_names=None) -> None:
-    names = feature_names or [f"x{i + 1}" for i in range(data.n_features)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(names) + ["target"])
-        for row, y in zip(data.features, data.targets):
-            writer.writerow([f"{v:.17g}" for v in row] + [f"{y:.17g}"])
-
-
 def save_report_csv(path, report: ExperimentReport) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -115,21 +107,6 @@ def save_report_csv(path, report: ExperimentReport) -> None:
                 row.method, f"{row.mean_metric:.17g}", f"{row.stderr:.17g}",
                 row.chosen_params, row.chosen_k, row.runs,
             ])
-
-
-def load_report_csv(path) -> ExperimentReport:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != REPORT_COLUMNS:
-            raise InvalidInputError(f"{path}: not a report CSV")
-        rows = tuple(
-            MethodResult(method, float(mean), float(stderr), params,
-                         int(k), int(runs))
-            for method, mean, stderr, params, k, runs in reader
-        )
-    total = max((r.runs for r in rows), default=0)
-    return ExperimentReport(rows, total, seeds=())
 
 
 def save_trace_csv(path, trace) -> None:

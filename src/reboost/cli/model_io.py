@@ -1,9 +1,11 @@
 """Versioned text format for trained models.
 
-Models are persisted materialized (flat per-term coefficients), one term
-record per line, floats printed with 17 significant digits so predictions
-round-trip exactly. A CRC-32 footer over all preceding lines guards
-against truncation and corruption.
+Models are persisted as their effective per-term coefficients, one term
+record per line, floats printed with 17 significant digits so coefficients
+and predictions round-trip exactly. A CRC-32 footer over all preceding
+lines guards against truncation and corruption. A stump or tree record
+may carry a legacy ``scale`` field, which the loader folds into the leaf
+values.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 import json
 import math
 import zlib
-
-import numpy as np
 
 from reboost.core import EnsembleModel, InvalidInputError, Task
 from reboost.learners import DecisionStump, IntervalAtom, RegressionTree, TreeNode
@@ -31,11 +31,11 @@ def _term_line(coef: float, learner) -> str:
         payload = {
             "kind": "stump", "feature": learner.feature,
             "threshold": learner.threshold, "left": learner.left_value,
-            "right": learner.right_value, "scale": learner.scale,
+            "right": learner.right_value,
         }
     elif isinstance(learner, RegressionTree):
         payload = {
-            "kind": "tree", "splits": learner.splits, "scale": learner.scale,
+            "kind": "tree", "splits": learner.splits,
             "nodes": [[n.feature, n.threshold, n.left, n.right, n.value]
                       for n in learner.nodes],
         }
@@ -51,17 +51,17 @@ def _term_line(coef: float, learner) -> str:
 
 def _parse_learner(payload: dict):
     kind = payload.get("kind")
+    scale = float(payload.get("scale", 1.0))
     if kind == "stump":
         return DecisionStump(int(payload["feature"]), float(payload["threshold"]),
-                             float(payload["left"]), float(payload["right"]),
-                             scale=float(payload.get("scale", 1.0)))
+                             scale * float(payload["left"]),
+                             scale * float(payload["right"]))
     if kind == "tree":
         nodes = tuple(
-            TreeNode(int(f), float(t), int(l), int(r), float(v))
+            TreeNode(int(f), float(t), int(l), int(r), scale * float(v))
             for f, t, l, r, v in payload["nodes"]
         )
-        return RegressionTree(nodes=nodes, splits=int(payload["splits"]),
-                              scale=float(payload.get("scale", 1.0)))
+        return RegressionTree(nodes=nodes, splits=int(payload["splits"]))
     if kind == "atom":
         return IntervalAtom(float(payload["low"]), float(payload["high"]),
                             float(payload["value"]), feature=int(payload["feature"]))
@@ -69,17 +69,16 @@ def _parse_learner(payload: dict):
 
 
 def model_to_text(model: EnsembleModel, loss: LossKind, task: Task, seed: int) -> str:
-    flat = model.materialize()
     lines = [
         f"{FORMAT_NAME} {FORMAT_VERSION}",
         f"loss={loss.value}",
         f"task={task.value}",
         f"features={model.n_features if model.n_features is not None else -1}",
         f"seed={seed}",
-        f"intercept={_fmt(flat.intercept)}",
-        f"terms={len(flat.terms)}",
+        f"intercept={_fmt(model.intercept)}",
+        f"terms={len(model)}",
     ]
-    lines.extend(_term_line(c, g) for c, g in flat.terms)
+    lines.extend(_term_line(c, g) for c, g in zip(model.coefs, model.learners))
     body = "\n".join(lines) + "\n"
     crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
     return body + f"checksum={crc:08x}\n"
@@ -160,7 +159,7 @@ def _parse_model(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
     for line in term_lines:
         _, coef_text, payload_text = line.split(" ", 2)
         payload = _TERM_DECODER.decode(payload_text)
-        model.terms.append((_finite(coef_text, "coefficient"), _parse_learner(payload)))
+        model.add_term(_finite(coef_text, "coefficient"), _parse_learner(payload))
 
     loss = LossKind(fields["loss"])
     task = Task(fields["task"])

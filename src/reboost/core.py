@@ -1,8 +1,7 @@
 """Shared domain types: datasets, additive ensemble models, traces, truncation.
 
-The ensemble model keeps a lazy global scale so that re-scaling the whole
-composite estimator is O(1) per step; ``materialize`` resolves the scale
-into flat per-term coefficients.
+The ensemble model stores one flat coefficient per term; re-scaling the
+whole composite estimator multiplies every stored coefficient in place.
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ class UnboundedDescentError(RuntimeError):
 class Task(enum.Enum):
     REGRESSION = "regression"
     CLASSIFICATION = "binary-classification"
-
-
-# global-scale values below this force materialization (float underflow guard)
-_SCALE_FLOOR = 1e-300
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -142,53 +137,33 @@ class TrainTrace:
 
 
 class EnsembleModel:
-    """Additive model: intercept + scale * sum(coef_j * learner_j(x)).
+    """Additive model: intercept + sum(coefs[j] * learners[j](x)).
 
-    New terms are stored divided by the current global scale, so a later
-    ``rescale`` multiplies every previously added term without rewriting
-    stored coefficients. The effective coefficient of term j is
-    ``global_scale * stored_coef_j``, i.e. the coefficient it was added with
-    times the product of (1 - alpha) over all rescales applied after it.
+    ``coefs`` holds the effective coefficient of every term: the step it
+    was added with times (1 - alpha) of every rescale applied after it.
     """
 
     def __init__(self, n_features: int | None = None, intercept: float = 0.0):
         self.n_features = n_features
         self.intercept = float(intercept)
-        self.terms: list[tuple[float, object]] = []  # (stored coef, learner)
-        self.global_scale = 1.0
+        self.coefs = np.empty(0)
+        self.learners: list = []
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.learners)
 
     def add_term(self, beta: float, learner) -> None:
-        """Append ``beta * learner`` to the model at the current scale."""
-        if self.global_scale < _SCALE_FLOOR:
-            self._materialize_in_place()
-        self.terms.append((float(beta) / self.global_scale, learner))
+        """Append ``beta * learner`` to the model."""
+        self.coefs = np.concatenate((self.coefs, (float(beta),)))
+        self.learners.append(learner)
 
     def rescale(self, alpha: float) -> "EnsembleModel":
-        """Multiply the whole current model by (1 - alpha), in place, O(1)."""
-        if not (0.0 <= alpha < 1.0):
-            raise InvalidInputError(f"rescale alpha must be in [0, 1), got {alpha}")
-        self.global_scale *= 1.0 - alpha
+        """Multiply the whole current model by (1 - alpha), in place."""
+        if not (0.0 <= alpha <= 1.0):
+            raise InvalidInputError(f"rescale alpha must be in [0, 1], got {alpha}")
+        self.coefs *= 1.0 - alpha
         self.intercept *= 1.0 - alpha
-        if 0.0 < self.global_scale < _SCALE_FLOOR:
-            self._materialize_in_place()
         return self
-
-    def _materialize_in_place(self) -> None:
-        self.terms = [(self.global_scale * c, g) for c, g in self.terms]
-        self.global_scale = 1.0
-
-    def materialize(self) -> "EnsembleModel":
-        """Return an equivalent model with flat coefficients and scale 1."""
-        flat = EnsembleModel(self.n_features, self.intercept)
-        flat.terms = [(self.global_scale * c, g) for c, g in self.terms]
-        return flat
-
-    def flat_terms(self) -> list[tuple[float, object]]:
-        """Fully-resolved (coefficient, learner) pairs."""
-        return [(self.global_scale * c, g) for c, g in self.terms]
 
     def predict(self, features) -> np.ndarray:
         """Evaluate the model on a feature matrix (one row per sample)."""
@@ -198,9 +173,9 @@ class EnsembleModel:
                 f"model was fit on {self.n_features} features, got {X.shape[1]}"
             )
         acc = np.zeros(X.shape[0])
-        for coef, learner in self.terms:
+        for coef, learner in zip(self.coefs, self.learners):
             acc += coef * learner.evaluate(X)
-        return self.intercept + self.global_scale * acc
+        return self.intercept + acc
 
 
 def truncate_predictions(preds, level: float) -> np.ndarray:

@@ -117,50 +117,45 @@ def metric_for_task(task: Task):
     return misclass_rate if task is Task.CLASSIFICATION else rmse
 
 
+def _replay(model: EnsembleModel, trace: TrainTrace, X: np.ndarray, upto: int):
+    """Yield the predictions on ``X`` after each of the first ``upto`` steps
+    of a recorded path, replaying (alpha_k, beta_k, learner_k) once each."""
+    preds = np.zeros(X.shape[0])
+    for rec, learner in zip(trace.records[:upto], model.learners):
+        preds = (1.0 - rec.alpha) * preds + rec.beta * learner.evaluate(X)
+        yield preds
+
+
 def path_predictions(model: EnsembleModel, trace: TrainTrace, features,
                      upto: int | None = None) -> np.ndarray:
     """Predictions of the length-``upto`` prefix of a recorded boosting path.
 
-    Replays (alpha_k, beta_k, learner_k) on new features; equivalent to
-    materializing the prefix model but reuses each learner evaluation once.
+    Equivalent to predicting with the model truncated after ``upto`` terms
+    and rescaled as it was at that step, but without rebuilding it.
     """
     X = np.atleast_2d(np.asarray(features, dtype=float))
     k = len(trace) if upto is None else upto
-    if not 0 <= k <= len(model.terms):
+    if not 0 <= k <= min(len(model), len(trace)):
         raise InvalidInputError(f"prefix {k} outside the recorded path")
     preds = np.zeros(X.shape[0])
-    for j in range(k):
-        rec = trace.records[j]
-        g = model.terms[j][1].evaluate(X)
-        if rec.alpha != 0.0:
-            preds = (1.0 - rec.alpha) * preds + rec.beta * g
-        else:
-            preds = preds + rec.beta * g
+    for preds in _replay(model, trace, X, k):
+        pass
     return preds
 
 
 def validation_curve(model: EnsembleModel, trace: TrainTrace, val_set: Dataset) -> np.ndarray:
     """Validation metric after every iteration of a recorded path."""
     metric = metric_for_task(val_set.task)
-    X, y = val_set.features, val_set.targets
-    preds = np.zeros(val_set.n_samples)
-    out = np.empty(len(trace))
-    for j, rec in enumerate(trace.records):
-        g = model.terms[j][1].evaluate(X)
-        if rec.alpha != 0.0:
-            preds = (1.0 - rec.alpha) * preds + rec.beta * g
-        else:
-            preds = preds + rec.beta * g
-        out[j] = metric(preds, y)
-    return out
+    return np.array([metric(preds, val_set.targets)
+                     for preds in _replay(model, trace, val_set.features, len(trace))])
 
 
 def variant_cells(method: str, grid: TuningGrid):
     """(label, variant factory) candidates for one method family.
 
-    Factories defer construction so an infeasible cell (e.g. u = 1 makes
-    the first rescale degree hit 1) fails inside the tuning loop and is
-    skipped like any other cell failure.
+    Factories defer construction so an infeasible cell (e.g. a u below 1,
+    which makes the first rescale degree exceed 1) fails inside the tuning
+    loop and is skipped like any other cell failure.
     """
     def cell(label, factory, value):
         return label, (lambda v=value: factory(v))

@@ -31,7 +31,6 @@ class DecisionStump:
     threshold: float
     left_value: float
     right_value: float
-    scale: float = 1.0
 
     def evaluate(self, features) -> np.ndarray:
         X = np.atleast_2d(np.asarray(features, dtype=float))
@@ -39,9 +38,8 @@ class DecisionStump:
             raise InvalidInputError(
                 f"stump uses feature {self.feature}, input has {X.shape[1]}"
             )
-        out = np.where(X[:, self.feature] <= self.threshold,
-                       self.left_value, self.right_value)
-        return self.scale * out
+        return np.where(X[:, self.feature] <= self.threshold,
+                        self.left_value, self.right_value)
 
     def describe(self) -> str:
         return f"stump[f{self.feature}@{self.threshold:.6g}]"
@@ -68,7 +66,6 @@ class RegressionTree:
 
     nodes: tuple[TreeNode, ...]
     splits: int
-    scale: float = 1.0
     _max_feature: int = field(init=False, repr=False, compare=False, default=-1)
 
     def __post_init__(self):
@@ -98,7 +95,7 @@ class RegressionTree:
                 go_left = X[rows, node.feature] <= node.threshold
                 stack.append((node.left, rows[go_left]))
                 stack.append((node.right, rows[~go_left]))
-        return self.scale * out
+        return out
 
     def describe(self) -> str:
         return f"tree[J{self.splits}]"

@@ -12,7 +12,6 @@ from reboost.boosters import (
     TrainConfig,
     TreeLearner,
     Truncated,
-    alpha_at,
     excess_risk_trace,
     train,
 )
@@ -38,10 +37,11 @@ def classification_data(seed=0, m=60):
 class TestShrinkageSchedule:
     def test_theorem_preset(self):
         s = ShrinkageSchedule.theorem()
-        assert alpha_at(s, 1) == pytest.approx(0.75)
-        assert alpha_at(s, 2997) == pytest.approx(0.001)
+        assert s.alpha(1) == pytest.approx(0.75)
+        assert s.alpha(2997) == pytest.approx(0.001)
 
     def test_experimental_preset(self):
+        assert ShrinkageSchedule.experimental(1.0).alpha(1) == 1.0
         assert ShrinkageSchedule.experimental(1.0).alpha(3) == pytest.approx(0.5)
 
     def test_alpha_nonincreasing(self):
@@ -51,10 +51,11 @@ class TestShrinkageSchedule:
         assert all(0.0 <= a < 1.0 for a in alphas)
 
     def test_out_of_range_degree_rejected_on_evaluation(self):
-        s = ShrinkageSchedule(2.0, 1.0, 1.0)  # alpha_1 = 1
+        s = ShrinkageSchedule(3.0, 1.0, 1.0)  # alpha_1 = 1.5
         with pytest.raises(InvalidSpecError):
             s.alpha(1)
-        assert s.alpha(3) == pytest.approx(0.5)
+        assert s.alpha(2) == 1.0
+        assert s.alpha(3) == pytest.approx(0.75)
 
     def test_invalid_schedules(self):
         with pytest.raises(InvalidSpecError):
@@ -129,7 +130,7 @@ class TestRescaleDynamics:
         model, trace = train(data, cfg, 0)
         X, y = data.features, data.targets
         preds = np.zeros(20)
-        for rec, (_, learner) in zip(trace.records, model.terms):
+        for rec, learner in zip(trace.records, model.learners):
             g = learner.evaluate(X)
             preds = (1.0 - rec.alpha) * preds + rec.beta * g
             assert abs(neg_gradient_inner(LossKind.SQUARED, preds, y, g)) <= 1e-6
@@ -142,14 +143,14 @@ class TestRescaleDynamics:
         model, trace = train(data, cfg, 0)
         X, y = data.features, data.targets
         preds = np.zeros(data.n_samples)
-        for rec, (_, learner) in zip(trace.records, model.terms):
+        for rec, learner in zip(trace.records, model.learners):
             rescaled_risk = empirical_risk(LossKind.SQUARED, (1.0 - rec.alpha) * preds, y)
             g = learner.evaluate(X)
             preds = (1.0 - rec.alpha) * preds + rec.beta * g
             assert rec.risk <= rescaled_risk + 1e-12
 
     def test_coefficient_expansion_matches_trace(self):
-        # materialized coefficients equal beta_j * prod_{i>j} (1 - alpha_i)
+        # stored coefficients equal beta_j * prod_{i>j} (1 - alpha_i)
         data = regression_data(seed=5)
         cfg = TrainConfig(25, LossKind.SQUARED, StumpLearner(),
                           Rescale(ShrinkageSchedule.theorem()))
@@ -157,8 +158,7 @@ class TestRescaleDynamics:
         alphas = trace.alphas
         betas = trace.betas
         expected = [b * np.prod(1.0 - alphas[j + 1:]) for j, b in enumerate(betas)]
-        got = [c for c, _ in model.materialize().terms]
-        assert np.allclose(got, expected, rtol=1e-12)
+        assert np.allclose(model.coefs, expected, rtol=1e-12)
 
     def test_alpha_zero_schedule_bit_equals_plain(self):
         data = regression_data(seed=6)
@@ -210,7 +210,7 @@ class TestVariants:
                                                Epsilon(eps)), 0)
         X, y = data.features, data.targets
         preds = np.zeros(data.n_samples)
-        for rec, (_, learner) in zip(trace.records, model.terms):
+        for rec, learner in zip(trace.records, model.learners):
             g = learner.evaluate(X)
             u = pseudo_residuals(LossKind.SQUARED, preds, y)
             assert np.sign(rec.beta) == np.sign(np.mean(u * g))

@@ -136,3 +136,37 @@ class TestTrainTraceCsv:
         data = write(tmp_path / "d.csv", "x,y\n1,0.5\n2,nan\n")
         code = main(["train", "--data", data, "--model-out", str(tmp_path / "m.txt")])
         assert code == EXIT_DATA
+
+
+class TestTrainRescaleUOne:
+    def test_alpha_one_first_step_trains(self, tmp_path):
+        # u = 1 gives alpha_1 = 2/(1+1) = 1, which rescales the zero model
+        data = write(tmp_path / "d.csv", "x,y\n0,1.0\n1,2.5\n2,-0.5\n3,0.75\n")
+        code = main(["train", "--data", data, "--variant", "rescale", "--u", "1",
+                     "--iterations", "5", "--model-out", str(tmp_path / "m.txt")])
+        assert code == EXIT_OK
+
+
+class TestUnwritableOutput:
+    def test_train_model_out_in_missing_directory(self, tmp_path, capsys):
+        data = write(tmp_path / "d.csv", "x,y\n0,1.0\n1,2.5\n2,-0.5\n")
+        code = main(["train", "--data", data, "--iterations", "2",
+                     "--model-out", str(tmp_path / "missing" / "m.txt")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_train_trace_out_in_missing_directory(self, tmp_path, capsys):
+        data = write(tmp_path / "d.csv", "x,y\n0,1.0\n1,2.5\n2,-0.5\n")
+        code = main(["train", "--data", data, "--iterations", "2",
+                     "--model-out", str(tmp_path / "m.txt"),
+                     "--trace-out", str(tmp_path / "missing" / "t.csv")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_predict_out_in_missing_directory(self, tmp_path, model_lines, capsys):
+        code = main(["predict", "--model", write(tmp_path / "model.txt",
+                                                  with_checksum(model_lines)),
+                     "--data", write(tmp_path / "x.csv", "x1,x2\n0.5,1.0\n"),
+                     "--out", str(tmp_path / "missing" / "out.csv")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: ")

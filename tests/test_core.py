@@ -19,16 +19,12 @@ def stump(value_left, value_right=None, feature=0, threshold=0.0):
     return DecisionStump(feature, threshold, value_left, value_right)
 
 
-def random_model(rng, n_terms=5, n_features=3, rescales=()):
-    """Model built by interleaving term additions with rescales."""
+def random_model(rng, n_terms=5, n_features=3):
     model = EnsembleModel(n_features)
-    events = list(rescales)
-    for i in range(n_terms):
+    for _ in range(n_terms):
         model.add_term(rng.normal(), stump(rng.normal(), rng.normal(),
                                            feature=rng.integers(n_features),
                                            threshold=rng.normal()))
-        if i < len(events):
-            model.rescale(events[i])
     return model
 
 
@@ -121,24 +117,31 @@ class TestRescale:
 
     def test_invalid_alpha(self):
         model = EnsembleModel(1)
-        for bad in (-0.1, 1.0, 1.5):
+        for bad in (-0.1, 1.0 + 1e-12, 1.5):
             with pytest.raises(InvalidInputError):
                 model.rescale(bad)
 
+    def test_alpha_one_zeroes_model(self):
+        rng = np.random.default_rng(6)
+        model = random_model(rng)
+        model.intercept = 2.5
+        model.rescale(1.0)
+        model.add_term(3.0, stump(1.0))
+        assert np.array_equal(model.predict(rng.normal(size=(10, 3))), np.full(10, 3.0))
 
-class TestMaterialize:
+
+class TestCoefs:
     def test_no_rescale_keeps_betas(self):
         model = EnsembleModel(1)
         betas = [1.5, -2.0, 0.25]
         for b in betas:
             model.add_term(b, stump(1.0))
-        flat = model.materialize()
-        assert [c for c, _ in flat.terms] == pytest.approx(betas)
+        assert np.array_equal(model.coefs, betas)
 
     def test_single_term(self):
         model = EnsembleModel(1)
         model.add_term(3.0, stump(1.0))
-        assert model.materialize().terms[0][0] == pytest.approx(3.0)
+        assert model.coefs[0] == 3.0
 
     def test_hand_expanded_recursion(self):
         # beta = (1, 1) with a 3/5 rescale in between: coefficients (0.4, 1)
@@ -146,23 +149,27 @@ class TestMaterialize:
         model.add_term(1.0, stump(1.0))
         model.rescale(0.6)
         model.add_term(1.0, stump(1.0))
-        coefs = [c for c, _ in model.materialize().terms]
-        assert coefs == pytest.approx([0.4, 1.0])
+        assert model.coefs == pytest.approx([0.4, 1.0])
 
-    def test_lazy_materialized_equivalence(self):
+    def test_predict_matches_incremental_recursion(self):
+        # f_k = (1 - alpha_k) f_{k-1} + beta_k g_k, tracked step by step
         rng = np.random.default_rng(4)
-        model = random_model(rng, n_terms=6, rescales=(0.5, 0.1, 0.0, 0.7, 0.33))
-        flat = model.materialize()
-        assert flat.global_scale == 1.0
         X = rng.normal(size=(100, 3))
-        assert np.allclose(model.predict(X), flat.predict(X), rtol=1e-10, atol=1e-13)
+        model = EnsembleModel(3)
+        expected = np.zeros(100)
+        for alpha in (0.5, 0.1, 0.0, 0.7, 0.33, 1.0, 0.2):
+            beta, g = rng.normal(), stump(rng.normal(), rng.normal(),
+                                          feature=rng.integers(3), threshold=rng.normal())
+            model.rescale(alpha)
+            model.add_term(beta, g)
+            expected = (1.0 - alpha) * expected + beta * g.evaluate(X)
+        assert np.allclose(model.predict(X), expected, rtol=1e-12, atol=1e-14)
 
-    def test_underflow_forces_materialization(self):
+    def test_many_rescales_predict_finite(self):
         model = EnsembleModel(1)
         model.add_term(1.0, stump(1.0))
         for _ in range(500):
-            model.rescale(1.0 - 1e-2)  # scale shrinks by 100x per call
-        assert model.global_scale >= 1e-300
+            model.rescale(1.0 - 1e-2)  # the coefficient shrinks by 100x per call
         assert np.isfinite(model.predict([[0.0]])[0])
 
 

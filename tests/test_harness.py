@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,14 @@ class TestTune:
         res = tune(tr, va, "plain", grid, LossKind.SQUARED, StumpLearner())
         assert res.params == "-"
         assert 1 <= res.best_k <= 20
+
+    def test_rescale_grid_has_no_failed_cell(self, caplog):
+        # the first cell, u = 1, starts with alpha_1 = 1
+        data = toy_dataset(7, m=120)
+        tr, va, _ = split_dataset(data, (0.5, 0.25, 0.25), 3)
+        with caplog.at_level(logging.WARNING, logger="reboost.harness"):
+            tune(tr, va, "rescale", TuningGrid(k_max=10), LossKind.SQUARED, StumpLearner())
+        assert not [r for r in caplog.records if "failed" in r.getMessage()]
 
     def test_selection_matches_exhaustive_re_evaluation(self):
         data = toy_dataset(5, m=120)

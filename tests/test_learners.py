@@ -1,8 +1,11 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reboost.cli.model_io import model_from_text
 from reboost.core import InvalidInputError
 from reboost.learners import (
     _MIN_GAIN_REL,
@@ -150,8 +153,18 @@ class TestEvaluate:
         assert np.array_equal(tree.evaluate(X), [manual(x) for x in X])
 
     def test_scale_multiplies_output(self):
-        s = DecisionStump(0, 0.0, -2.0, 2.0, scale=0.5)
-        assert np.array_equal(s.evaluate([[1.0]]), [1.0])
+        # older model files carry a per-learner "scale"; loading folds it
+        # into the leaf values
+        stump = '{"kind":"stump","feature":0,"threshold":0.0,"left":-2.0,"right":2.0,"scale":0.5}'
+        tree = ('{"kind":"tree","splits":1,"scale":0.25,"nodes":'
+                '[[0,0.0,1,2,0.0],[-1,0.0,-1,-1,4.0],[-1,0.0,-1,-1,-8.0]]}')
+        body = ("reboost-model 1\nloss=squared\ntask=regression\nfeatures=1\nseed=0\n"
+                f"intercept=0\nterms=2\nterm 1 {stump}\nterm 1 {tree}\n")
+        text = body + f"checksum={zlib.crc32(body.encode('utf-8')) & 0xFFFFFFFF:08x}\n"
+        model, *_ = model_from_text(text)
+        assert model.learners[0] == DecisionStump(0, 0.0, -1.0, 1.0)
+        assert [n.value for n in model.learners[1].nodes] == [0.0, 1.0, -2.0]
+        assert np.array_equal(model.predict([[-1.0], [1.0]]), [0.0, -1.0])
 
     def test_interval_atom(self):
         a = IntervalAtom(0.25, 0.5, 2.0)

@@ -1,0 +1,101 @@
+"""Property tests of the numerical contracts between a training run, its
+model, the model text format and the recorded-path replay, over every
+training variant.
+
+The runs use squared loss, whose line search is closed form. The
+golden-section search of the other losses never ends once a step's
+minimizer exceeds about 5e5 in magnitude (its tolerance is absolute),
+which random separable data reaches after a capped step.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reboost.boosters import (
+    DictionaryLearner,
+    Epsilon,
+    Plain,
+    Rescale,
+    ShrinkageSchedule,
+    Shrunk,
+    StumpLearner,
+    TrainConfig,
+    TreeLearner,
+    Truncated,
+    train,
+)
+from reboost.cli.model_io import model_from_text, model_to_text
+from reboost.core import Dataset, Task
+from reboost.harness import path_predictions
+from reboost.learners import IntervalAtom
+from reboost.losses import LossKind, empirical_risk
+
+VARIANTS = {
+    "plain": Plain(),
+    "rescale-theorem": Rescale(ShrinkageSchedule.theorem()),
+    "rescale-u1": Rescale(ShrinkageSchedule.experimental(1.0)),  # alpha_1 = 1
+    "shrunk": Shrunk(0.3),
+    "truncated": Truncated(0.5),
+    "epsilon": Epsilon(0.05),
+}
+SQUARED = LossKind.SQUARED
+every_variant = pytest.mark.parametrize("variant", list(VARIANTS.values()), ids=list(VARIANTS))
+
+
+@st.composite
+def trained_runs(draw, variant):
+    """(data, model, trace) of one squared-loss training run on random data."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m, d = draw(st.integers(8, 40)), draw(st.integers(1, 3))
+    X = np.round(rng.normal(size=(m, d)), draw(st.integers(0, 3)))  # ties too
+    data = Dataset(X, rng.normal(size=m), Task.REGRESSION)
+    kind = draw(st.sampled_from(("stump", "tree", "dictionary")))
+    if kind == "stump":
+        learner = StumpLearner()
+    elif kind == "tree":
+        learner = TreeLearner(draw(st.integers(1, 4)))
+    else:
+        edges = np.sort(rng.uniform(-2.0, 2.0, size=(8, 2)), axis=1)
+        learner = DictionaryLearner(tuple(
+            IntervalAtom(lo, hi, rng.normal(), feature=int(rng.integers(d)))
+            for lo, hi in edges))
+    model, trace = train(data, TrainConfig(draw(st.integers(1, 15)), SQUARED, learner, variant))
+    return data, model, trace
+
+
+@every_variant
+@settings(max_examples=25, deadline=None)
+@given(hyp=st.data())
+def test_model_text_round_trip_is_exact(variant, hyp):
+    data, model, _ = hyp.draw(trained_runs(variant))
+    loaded, loss, task, seed = model_from_text(model_to_text(model, SQUARED, data.task, 3))
+    assert (loss, task, seed) == (SQUARED, data.task, 3)
+    assert loaded.intercept == model.intercept
+    assert np.array_equal(loaded.coefs, model.coefs)
+    assert np.array_equal(loaded.predict(data.features), model.predict(data.features))
+
+
+@every_variant
+@settings(max_examples=25, deadline=None)
+@given(hyp=st.data())
+def test_predict_risk_equals_trace_risk(variant, hyp):
+    data, model, trace = hyp.draw(trained_runs(variant))
+    if not len(trace):
+        return
+    risk = empirical_risk(SQUARED, model.predict(data.features), data.targets)
+    # absolute slack for risks that reach 0, as a share of the zero model's risk
+    zero_risk = empirical_risk(SQUARED, np.zeros(data.n_samples), data.targets)
+    assert np.isclose(risk, trace.records[-1].risk, rtol=1e-9, atol=1e-12 * zero_risk)
+
+
+@every_variant
+@settings(max_examples=25, deadline=None)
+@given(hyp=st.data())
+def test_full_path_replay_equals_predict(variant, hyp):
+    data, model, trace = hyp.draw(trained_runs(variant))
+    preds = model.predict(data.features)
+    replayed = path_predictions(model, trace, data.features)
+    scale = np.max(np.abs(preds), initial=1.0)
+    assert np.allclose(replayed, preds, rtol=1e-9, atol=1e-12 * scale)
