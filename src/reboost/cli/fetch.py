@@ -104,10 +104,11 @@ def fetch_dataset(name: str, out_dir, url_override: str | None = None,
 
 
 def _split_rows(text: str, delim: str | None):
+    """Non-blank lines split on ``delim``, or on runs of whitespace for None."""
     for line in text.splitlines():
         line = line.strip()
         if line:
-            yield line.split(delim) if delim else line.split(",")
+            yield line.split(delim)
 
 
 def _generic_header(n_features: int) -> list[str]:

@@ -73,7 +73,7 @@ class Dataset:
             raise InvalidInputError(
                 f"targets length {targ.shape[0]} != rows {feats.shape[0]}"
             )
-        if self.task is Task.CLASSIFICATION and not np.all(np.isin(targ, (-1.0, 1.0))):
+        if self.task is Task.CLASSIFICATION and not (np.abs(targ) == 1.0).all():
             raise InvalidInputError("classification targets must be -1 or +1")
         object.__setattr__(self, "features", _readonly(feats))
         object.__setattr__(self, "targets", _readonly(targ))

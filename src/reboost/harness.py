@@ -107,7 +107,7 @@ def misclass_rate(scores, labels) -> float:
     labels = np.asarray(labels, dtype=float)
     if scores.shape != labels.shape or scores.size < 1:
         raise InvalidInputError("scores and labels must be equal-length, nonempty")
-    if not np.all(np.isin(labels, (-1.0, 1.0))):
+    if not (np.abs(labels) == 1.0).all():
         raise InvalidInputError("labels must be -1 or +1")
     decided = np.where(scores >= 0.0, 1.0, -1.0)
     return float(np.mean(decided != labels))

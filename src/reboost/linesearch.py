@@ -1,13 +1,19 @@
-"""One-dimensional minimization of beta -> risk(base + beta * g).
+"""One-dimensional minimization of beta -> R(beta) = risk(base + beta * g).
 
-Squared loss has a closed form; other convex losses are bracketed by
-doubling the derivative-sign search out from [-1, 1] and then contracted
-with golden-section (robust to the exponential loss's flat tails). An
-optional bound restricts the search to [-bound, bound].
+Squared loss has a closed form. For the other losses R is convex with a
+closed-form R'', so the search works on the derivative (the Newton step
+of Friedman's TreeBoost and of XGBoost): it walks out from beta = 0 on
+the descent side, doubling the probe from 1 until R' strictly changes
+sign, and then takes Newton steps on R' inside that sign-change bracket,
+bisecting whenever a Newton step would leave it. It stops once a step
+moves beta by at most ``tolerance`` relative to max(1, |beta|), or after
+``_MAX_STEPS`` steps. An optional bound restricts the search to
+[-bound, bound].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,14 +21,14 @@ import numpy as np
 from scipy.special import expit
 
 from reboost.core import DegenerateDirectionError, InvalidInputError, UnboundedDescentError
-from reboost.losses import LossKind, loss_value
+from reboost.losses import LossKind, _check_labels
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+_MAX_STEPS = 100  # Newton or bisection steps per search; a few suffice
 
 
 @dataclass(frozen=True)
 class LineSearchOptions:
-    tolerance: float = 1e-10  # on the argument beta
+    tolerance: float = 1e-10  # on beta, relative to max(1, |beta|)
     max_expansions: int = 60
     bound: float | None = None  # restrict beta to [-bound, bound]
 
@@ -45,75 +51,85 @@ def line_search_l2(base_preds, gvals, targets) -> float:
 
 
 def _make_objective(kind: LossKind, base, g, y):
-    """Risk and risk-derivative closures in beta.
+    """The closure beta -> (R'(beta), R''(beta)) of the mean risk along g.
 
-    Precomputing y*base and y*g turns every evaluation into a single fused
-    pass over the sample, which is what makes golden-section affordable
-    inside the training loop.
+    Precomputing y*base, y*g and (y*g)**2 makes each evaluation one pass
+    over the sample that yields both derivatives, with the means taken as
+    dot products: logistic R'' = mean(yg^2 s (1 - s)) with
+    s = expit(-(yb + beta yg)), exponential R'' = mean(yg^2 e^-(yb + beta yg)).
     """
     if kind is LossKind.SQUARED:
         r = base - y
-        c0 = float(np.mean(r * r))
         c1 = 2.0 * float(np.mean(r * g))
         c2 = float(np.mean(g * g))
-        return (lambda b: c0 + b * (c1 + b * c2)), (lambda b: c1 + 2.0 * c2 * b)
+        return lambda b: (c1 + 2.0 * c2 * b, 2.0 * c2)
 
+    m = y.size
     yb = y * base
     yg = y * g
+    yg2 = yg * yg
     if kind is LossKind.LOGISTIC:
-        def risk(b: float) -> float:
-            return float(np.mean(np.logaddexp(0.0, -(yb + b * yg))))
-
-        def deriv(b: float) -> float:
-            return float(-np.mean(yg * expit(-(yb + b * yg))))
+        def slope(b: float) -> tuple[float, float]:
+            s = expit(-(yb + b * yg))
+            return -float(yg @ s) / m, float(yg2 @ (s * (1.0 - s))) / m
     else:
-        def risk(b: float) -> float:
+        def slope(b: float) -> tuple[float, float]:
             with np.errstate(over="ignore"):
-                return float(np.mean(np.exp(-(yb + b * yg))))
-
-        def deriv(b: float) -> float:
-            with np.errstate(over="ignore"):
-                return float(-np.mean(yg * np.exp(-(yb + b * yg))))
-    return risk, deriv
+                w = np.exp(-(yb + b * yg))
+            return -float(yg @ w) / m, float(yg2 @ w) / m
+    return slope
 
 
-def _expand_bracket(deriv, max_expansions: int):
-    """Symmetrically double [-R, R] from R = 1 until the risk derivative
-    strictly changes sign across the interval.
+def _expand_bracket(slope, max_expansions: int):
+    """Walk from beta = 0 along the descent side, doubling the probe from 1,
+    until R' strictly changes sign; return (lo, hi) with R'(lo) < 0 < R'(hi),
+    or (0, 0) when R'(0) = 0.
 
     The strict test matters: on a separable instance the derivative keeps
     one sign forever and merely underflows to zero along the flat tail, so
-    no interval ever qualifies and UnboundedDescentError (carrying the last
-    signed edge) is raised once the expansion budget runs out.
+    no probe ever qualifies and UnboundedDescentError (carrying the last
+    signed probe, +-2**max_expansions) is raised once the budget runs out.
     """
-    radius = 1.0
-    d_neg = d_pos = 0.0
+    d0 = slope(0.0)[0]
+    if d0 == 0.0:
+        return 0.0, 0.0
+    sign = 1.0 if d0 < 0.0 else -1.0
+    near, probe = 0.0, sign
     for _ in range(max_expansions + 1):
-        d_neg, d_pos = deriv(-radius), deriv(radius)
-        if d_neg < 0.0 < d_pos:
-            return -radius, radius
-        radius *= 2.0
-    radius /= 2.0
-    edge = radius if d_pos <= 0.0 else -radius
+        if sign * slope(probe)[0] > 0.0:
+            return (near, probe) if sign > 0.0 else (probe, near)
+        near, probe = probe, 2.0 * probe
     raise UnboundedDescentError(
-        f"no sign change within {max_expansions} expansions (edge {edge})", edge
+        f"no sign change within {max_expansions} expansions (edge {near})", near
     )
 
 
-def _golden_section(risk_of, lo: float, hi: float, tol: float) -> float:
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = risk_of(x1), risk_of(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = risk_of(x1)
+def _newton(slope, lo: float, hi: float, tol: float) -> float:
+    """Safeguarded Newton on R' inside [lo, hi], where R'(lo) < 0 < R'(hi),
+    from beta = 0 clamped into the bracket.
+
+    Each step moves an end of the bracket to beta by the sign of R'(beta),
+    then takes the Newton step if it lands strictly inside the bracket and
+    bisects otherwise. A Newton step within tolerance ends the search even
+    when it rounds onto the bracket end it started from.
+    """
+    b = min(max(0.0, lo), hi)
+    for _ in range(_MAX_STEPS):
+        d1, d2 = slope(b)
+        if d1 < 0.0:
+            lo = b
+        elif d1 > 0.0:
+            hi = b
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = risk_of(x2)
-    return 0.5 * (lo + hi)
+            return b
+        step = b - d1 / d2 if d2 > 0.0 else math.inf
+        tiny = tol * max(1.0, abs(b))
+        if abs(step - b) > tiny and not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - b) <= tiny:
+            return step
+        b = step
+    return b
 
 
 def line_search(kind: LossKind, base_preds, gvals, targets,
@@ -129,22 +145,21 @@ def line_search(kind: LossKind, base_preds, gvals, targets,
     y = np.asarray(targets, dtype=float)
     if not np.any(g != 0.0):
         raise DegenerateDirectionError("direction is identically zero")
-    loss_value(kind, 0.0, y)  # validate labels once up front
+    _check_labels(kind, y)
 
     if kind is LossKind.SQUARED and opts.bound is None:
         return line_search_l2(base, g, y)
 
-    risk, deriv = _make_objective(kind, base, g, y)
+    slope = _make_objective(kind, base, g, y)
     if opts.bound is not None:
         t = opts.bound
-        if deriv(t) <= 0.0:
+        if slope(t)[0] <= 0.0:
             return t
-        if deriv(-t) >= 0.0:
+        if slope(-t)[0] >= 0.0:
             return -t
         if kind is LossKind.SQUARED:  # clamp the closed form (interior case)
             return float(min(max(line_search_l2(base, g, y), -t), t))
         lo, hi = -t, t
     else:
-        lo, hi = _expand_bracket(deriv, opts.max_expansions)
-
-    return _golden_section(risk, lo, hi, opts.tolerance)
+        lo, hi = _expand_bracket(slope, opts.max_expansions)
+    return _newton(slope, lo, hi, opts.tolerance)

@@ -27,7 +27,7 @@ class LossKind(enum.Enum):
 
 
 def _check_labels(kind: LossKind, y: np.ndarray) -> None:
-    if kind.is_classification and not np.all(np.isin(y, (-1.0, 1.0))):
+    if kind.is_classification and not (np.abs(y) == 1.0).all():
         raise InvalidInputError(f"{kind.value} loss requires labels in {{-1, +1}}")
 
 

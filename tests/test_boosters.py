@@ -17,7 +17,7 @@ from reboost.boosters import (
 )
 from reboost.core import Dataset, InvalidInputError, InvalidSpecError, Task
 from reboost.losses import LossKind, empirical_risk, neg_gradient_inner, pseudo_residuals
-from reboost.synthdata import SparseDictionarySpec, gen_sparse_dictionary_instance
+from reboost.synthdata import SparseDictionarySpec, gen_orange, gen_sparse_dictionary_instance
 
 
 def regression_data(seed=0, m=40, d=3, noise=0.1):
@@ -246,3 +246,16 @@ class TestExponentialSeparable:
         assert trace.records[0].note == "capped-beta"
         assert abs(trace.records[0].beta) == 2.0 ** 60
         assert trace.records[0].risk == 0.0  # fully separated afterwards
+
+
+class TestFarMinimizer:
+    @pytest.mark.parametrize("variant", [Plain(), Shrunk(1.0), Rescale(ShrinkageSchedule(0, 1, 1))],
+                             ids=["plain", "shrunk-1", "rescale-alpha-0"])
+    def test_exponential_trees_on_orange_finish(self, variant):
+        # later steps have minimizers beyond 1e6 in magnitude, where an
+        # absolute tolerance of 1e-10 on beta is below the spacing of doubles
+        data = gen_orange(60, 2, 3)
+        _, trace = train(data, TrainConfig(40, LossKind.EXPONENTIAL, TreeLearner(3), variant))
+        assert len(trace) == 40
+        assert max(abs(r.beta) for r in trace.records) > 1e6
+        assert np.isfinite(trace.risks).all()

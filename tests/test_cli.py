@@ -1,11 +1,21 @@
 import csv
+import hashlib
 import zlib
 
 import numpy as np
 import pytest
 
 from reboost.boosters import Rescale, ShrinkageSchedule, StumpLearner, TrainConfig, train
-from reboost.cli import EXIT_DATA, EXIT_OK, main
+from reboost.cli import (
+    EXIT_CHECKSUM,
+    EXIT_DATA,
+    EXIT_FLAGS,
+    EXIT_NETWORK,
+    EXIT_OK,
+    EXIT_TRAIN,
+    fetch,
+    main,
+)
 from reboost.cli.model_io import model_to_text
 from reboost.core import Dataset, Task
 from reboost.losses import LossKind
@@ -170,3 +180,59 @@ class TestUnwritableOutput:
                      "--out", str(tmp_path / "missing" / "out.csv")])
         assert code == EXIT_DATA
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """A fresh raw-download cache, so every fetch below reads only local files."""
+    monkeypatch.setenv(fetch.CACHE_ENV, str(tmp_path / "cache"))
+    return tmp_path / "cache"
+
+
+def toy_table(tmp_path, sha256):
+    raw = tmp_path / "toy.data"
+    raw.write_text("a,b,target\n1,2,3\n4,5,6\n", encoding="utf-8")
+    if sha256 is None:
+        sha256 = hashlib.sha256(raw.read_bytes()).hexdigest()
+    return write(tmp_path / "table.cfg",
+                 f"[toy]\nurl = {raw.as_uri()}\nsha256 = {sha256}\nformat = csv-target-last\n")
+
+
+class TestExitCodes:
+    def test_unknown_dataset_exits_2(self, tmp_path, cache, capsys):
+        code = main(["fetch", "--name", "nosuch", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_FLAGS
+        assert "unknown dataset 'nosuch'" in capsys.readouterr().err
+
+    def test_first_degree_above_one_exits_4(self, tmp_path, capsys):
+        # u = 0.5 gives alpha_1 = 2 / (1 + 0.5) > 1
+        data = write(tmp_path / "d.csv", "x,y\n0,1.0\n1,2.5\n2,-0.5\n")
+        code = main(["train", "--data", data, "--variant", "rescale", "--u", "0.5",
+                     "--iterations", "3", "--model-out", str(tmp_path / "m.txt")])
+        assert code == EXIT_TRAIN
+        assert "alpha_1" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_missing_download_exits_5(self, tmp_path, cache, capsys):
+        url = (tmp_path / "missing.data").as_uri()
+        code = main(["fetch", "--name", "diabetes", "--url", url,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_NETWORK
+        assert "download failed" in capsys.readouterr().err
+
+    def test_checksum_mismatch_exits_6(self, tmp_path, cache, capsys):
+        table = toy_table(tmp_path, "0" * 64)
+        code = main(["fetch", "--name", "toy", "--table", table,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CHECKSUM
+        assert "sha256 mismatch" in capsys.readouterr().err
+        assert not (cache / "raw" / "toy.data").exists()  # the bad download is removed
+        assert not (tmp_path / "out" / "toy.csv").exists()
+
+    def test_pinned_checksum_fetch_converts(self, tmp_path, cache):
+        table = toy_table(tmp_path, None)
+        code = main(["fetch", "--name", "toy", "--table", table,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        text = (tmp_path / "out" / "toy.csv").read_text(encoding="utf-8")
+        assert text.splitlines() == ["a,b,target", "1,2,3", "4,5,6"]

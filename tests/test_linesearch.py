@@ -9,7 +9,7 @@ from reboost.linesearch import (
     line_search,
     line_search_l2,
 )
-from reboost.losses import LossKind, empirical_risk
+from reboost.losses import LossKind, empirical_risk, loss_derivative
 
 
 def golden_oracle(f, lo, hi, tol=1e-12):
@@ -100,6 +100,36 @@ class TestLineSearchGeneric:
         with pytest.raises(UnboundedDescentError):
             line_search(LossKind.EXPONENTIAL, np.zeros(2), g, y)
 
+    def test_descent_toward_negative_edge(self):
+        y = np.array([1.0, 1.0, -1.0])
+        g = np.array([-1.0, -1.0, 1.0])
+        with pytest.raises(UnboundedDescentError) as exc:
+            line_search(LossKind.LOGISTIC, np.zeros(3), g, y)
+        assert exc.value.edge == -(2.0 ** 60)
+
+    @pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.EXPONENTIAL])
+    def test_far_minimizer(self, kind):
+        # margins 0 and 4 pulled together at rate 1e-6 each: beta* = 4 / 2e-6,
+        # where an absolute tolerance of 1e-10 is below the spacing of doubles
+        base, g, y = np.array([0.0, -4.0]), np.full(2, 1e-6), np.array([1.0, -1.0])
+        beta = line_search(kind, base, g, y)
+        assert beta == pytest.approx(2e6, rel=1e-9)
+        assert relative_slope(kind, base, g, y, beta) <= 1e-9
+
+    def test_stationary_start_returns_zero(self):
+        y = np.array([1.0, -1.0])
+        assert line_search(LossKind.LOGISTIC, np.zeros(2), np.ones(2), y) == 0.0
+
+    @pytest.mark.parametrize("bound, expected", [(0.1, 0.1), (10.0, np.log(2.0))])
+    def test_logistic_bound(self, bound, expected):
+        # unconstrained minimizer ln 2: clamped to a small bound, kept inside a large one
+        y = np.array([1.0, 1.0, -1.0])
+        beta = line_search(LossKind.LOGISTIC, np.zeros(3), np.ones(3), y,
+                           LineSearchOptions(bound=bound))
+        assert beta == pytest.approx(expected, rel=1e-12)
+        assert line_search(LossKind.LOGISTIC, np.zeros(3), -np.ones(3), y,
+                           LineSearchOptions(bound=bound)) == pytest.approx(-expected, rel=1e-12)
+
     def test_zero_direction(self):
         with pytest.raises(DegenerateDirectionError):
             line_search(LossKind.LOGISTIC, np.zeros(2), np.zeros(2), np.array([1.0, -1.0]))
@@ -113,8 +143,15 @@ def random_instance(rng, kind):
     return base, g, y
 
 
+def relative_slope(kind, base, g, y, beta):
+    """|R'(beta)| over the mean magnitude of its terms loss'(f_i) g_i: at an
+    exact minimizer, rounding alone leaves this near machine epsilon."""
+    scale = np.mean(np.abs(loss_derivative(kind, base + beta * g, y) * g))
+    return abs(_make_objective(kind, base, g, y)(beta)[0]) / scale
+
+
 class TestProperties:
-    @pytest.mark.parametrize("kind", [LossKind.SQUARED, LossKind.LOGISTIC])
+    @pytest.mark.parametrize("kind", list(LossKind))
     def test_stationarity(self, kind):
         rng = np.random.default_rng(2)
         checked = 0
@@ -125,21 +162,17 @@ class TestProperties:
             except UnboundedDescentError:
                 continue
             checked += 1
-            h = 1e-5
-            r_plus = empirical_risk(kind, base + (beta + h) * g, y)
-            r_minus = empirical_risk(kind, base + (beta - h) * g, y)
-            fd = (r_plus - r_minus) / (2.0 * h)
-            risk = empirical_risk(kind, base + beta * g, y)
-            assert abs(fd) <= 1e-6 * (1.0 + abs(risk)) + 1e-9
+            # Newton ends near 1e-16 here; a last bisection step within the
+            # relative tolerance 1e-10 would leave about 1e-10
+            assert relative_slope(kind, base, g, y, beta) <= 1e-9
 
     def test_risk_at_most_grid_minimum(self):
         rng = np.random.default_rng(3)
         checked = 0
         while checked < 100:
             base, g, y = random_instance(rng, LossKind.LOGISTIC)
-            risk_fn, deriv_fn = _make_objective(LossKind.LOGISTIC, base, g, y)
             try:
-                lo, hi = _expand_bracket(deriv_fn, 60)
+                lo, hi = _expand_bracket(_make_objective(LossKind.LOGISTIC, base, g, y), 60)
             except UnboundedDescentError:
                 continue
             beta = line_search(LossKind.LOGISTIC, base, g, y)
@@ -148,7 +181,8 @@ class TestProperties:
             grid_risks = np.mean(
                 np.logaddexp(0.0, -(y * base)[:, None] - grid * (y * g)[:, None]),
                 axis=0)
-            assert risk_fn(beta) <= grid_risks.min() + 1e-8
+            assert (empirical_risk(LossKind.LOGISTIC, base + beta * g, y)
+                    <= grid_risks.min() + 1e-8)
 
     def test_zero_always_feasible(self):
         rng = np.random.default_rng(4)

@@ -1,11 +1,11 @@
 """Property tests of the numerical contracts between a training run, its
 model, the model text format and the recorded-path replay, over every
-training variant.
+training variant and every loss.
 
-The runs use squared loss, whose line search is closed form. The
-golden-section search of the other losses never ends once a step's
-minimizer exceeds about 5e5 in magnitude (its tolerance is absolute),
-which random separable data reaches after a capped step.
+Each run draws its loss: squared loss on real targets as a regression
+task, logistic or exponential loss on +-1 labels as a classification
+task. Small random classification samples can be separable, so some runs
+(about 1 in 10) take capped (2**60) steps and search minimizers far from 0.
 """
 
 import numpy as np
@@ -40,17 +40,20 @@ VARIANTS = {
     "truncated": Truncated(0.5),
     "epsilon": Epsilon(0.05),
 }
-SQUARED = LossKind.SQUARED
 every_variant = pytest.mark.parametrize("variant", list(VARIANTS.values()), ids=list(VARIANTS))
 
 
 @st.composite
 def trained_runs(draw, variant):
-    """(data, model, trace) of one squared-loss training run on random data."""
+    """(data, loss, model, trace) of one training run on random data."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     m, d = draw(st.integers(8, 40)), draw(st.integers(1, 3))
     X = np.round(rng.normal(size=(m, d)), draw(st.integers(0, 3)))  # ties too
-    data = Dataset(X, rng.normal(size=m), Task.REGRESSION)
+    loss = draw(st.sampled_from(list(LossKind)))
+    if loss.is_classification:
+        data = Dataset(X, rng.choice((-1.0, 1.0), size=m), Task.CLASSIFICATION)
+    else:
+        data = Dataset(X, rng.normal(size=m), Task.REGRESSION)
     kind = draw(st.sampled_from(("stump", "tree", "dictionary")))
     if kind == "stump":
         learner = StumpLearner()
@@ -61,17 +64,17 @@ def trained_runs(draw, variant):
         learner = DictionaryLearner(tuple(
             IntervalAtom(lo, hi, rng.normal(), feature=int(rng.integers(d)))
             for lo, hi in edges))
-    model, trace = train(data, TrainConfig(draw(st.integers(1, 15)), SQUARED, learner, variant))
-    return data, model, trace
+    model, trace = train(data, TrainConfig(draw(st.integers(1, 15)), loss, learner, variant))
+    return data, loss, model, trace
 
 
 @every_variant
 @settings(max_examples=25, deadline=None)
 @given(hyp=st.data())
 def test_model_text_round_trip_is_exact(variant, hyp):
-    data, model, _ = hyp.draw(trained_runs(variant))
-    loaded, loss, task, seed = model_from_text(model_to_text(model, SQUARED, data.task, 3))
-    assert (loss, task, seed) == (SQUARED, data.task, 3)
+    data, loss, model, _ = hyp.draw(trained_runs(variant))
+    loaded, *meta = model_from_text(model_to_text(model, loss, data.task, 3))
+    assert meta == [loss, data.task, 3]
     assert loaded.intercept == model.intercept
     assert np.array_equal(loaded.coefs, model.coefs)
     assert np.array_equal(loaded.predict(data.features), model.predict(data.features))
@@ -81,12 +84,12 @@ def test_model_text_round_trip_is_exact(variant, hyp):
 @settings(max_examples=25, deadline=None)
 @given(hyp=st.data())
 def test_predict_risk_equals_trace_risk(variant, hyp):
-    data, model, trace = hyp.draw(trained_runs(variant))
+    data, loss, model, trace = hyp.draw(trained_runs(variant))
     if not len(trace):
         return
-    risk = empirical_risk(SQUARED, model.predict(data.features), data.targets)
+    risk = empirical_risk(loss, model.predict(data.features), data.targets)
     # absolute slack for risks that reach 0, as a share of the zero model's risk
-    zero_risk = empirical_risk(SQUARED, np.zeros(data.n_samples), data.targets)
+    zero_risk = empirical_risk(loss, np.zeros(data.n_samples), data.targets)
     assert np.isclose(risk, trace.records[-1].risk, rtol=1e-9, atol=1e-12 * zero_risk)
 
 
@@ -94,7 +97,7 @@ def test_predict_risk_equals_trace_risk(variant, hyp):
 @settings(max_examples=25, deadline=None)
 @given(hyp=st.data())
 def test_full_path_replay_equals_predict(variant, hyp):
-    data, model, trace = hyp.draw(trained_runs(variant))
+    data, _, model, trace = hyp.draw(trained_runs(variant))
     preds = model.predict(data.features)
     replayed = path_predictions(model, trace, data.features)
     scale = np.max(np.abs(preds), initial=1.0)
