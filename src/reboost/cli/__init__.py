@@ -227,6 +227,9 @@ def cmd_fetch(args) -> int:
     except fetch.ChecksumError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CHECKSUM
+    except (OSError, fetch.RawDataError) as err:  # unreadable table or download
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_DATA
     except KeyError as err:
         print(f"error: {err.args[0]}", file=sys.stderr)
         return EXIT_FLAGS

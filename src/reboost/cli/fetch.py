@@ -35,6 +35,10 @@ class ChecksumError(RuntimeError):
     pass
 
 
+class RawDataError(ValueError):
+    """A raw download whose rows do not have the layout of its format."""
+
+
 def cache_dir() -> Path:
     root = os.environ.get(CACHE_ENV)
     if root:
@@ -43,9 +47,12 @@ def cache_dir() -> Path:
 
 
 def load_source_table(path=None) -> configparser.ConfigParser:
+    """The packaged source table, or the table file at ``path``; a missing
+    file raises FileNotFoundError naming it."""
     parser = configparser.ConfigParser()
     if path is not None:
-        parser.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
     else:
         text = resources.files("reboost").joinpath("datasets.cfg").read_text("utf-8")
         parser.read_string(text)
@@ -78,7 +85,8 @@ def fetch_dataset(name: str, out_dir, url_override: str | None = None,
                   table_path=None) -> Path:
     """Obtain one named dataset and write ``<out_dir>/<name>.csv``.
 
-    Raises NetworkError / ChecksumError; KeyError for unknown names.
+    Raises NetworkError / ChecksumError; RawDataError when the download
+    does not have the layout of its format; KeyError for unknown names.
     """
     table = load_source_table(table_path)
     if name not in table:
@@ -92,7 +100,10 @@ def fetch_dataset(name: str, out_dir, url_override: str | None = None,
     _verify(raw, entry.get("sha256", "unpinned"), name)
 
     converter = _CONVERTERS[entry["format"]]
-    rows, header = converter(raw.read_text("utf-8", errors="replace"))
+    try:
+        rows, header = converter(raw.read_text("utf-8", errors="replace"))
+    except RawDataError as err:
+        raise RawDataError(f"{raw}: {err}") from None
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{name}.csv"
@@ -104,11 +115,40 @@ def fetch_dataset(name: str, out_dir, url_override: str | None = None,
 
 
 def _split_rows(text: str, delim: str | None):
-    """Non-blank lines split on ``delim``, or on runs of whitespace for None."""
-    for line in text.splitlines():
+    """(line number, fields) of the non-blank lines, split on ``delim``, or
+    on runs of whitespace for None."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if line:
-            yield line.split(delim)
+            yield lineno, line.split(delim)
+
+
+def _checked_rows(rows, width: int):
+    """The (line number, fields) rows, each of which must have ``width``
+    fields."""
+    for lineno, row in rows:
+        if len(row) != width:
+            raise RawDataError(f"line {lineno}: {len(row)} fields, expected {width}")
+        yield lineno, row
+
+
+def _under_header(rows, extra: int = 0):
+    """(data rows, header) of (line number, fields) rows whose first names
+    the columns; each data row has ``extra`` fields more than the header."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        raise RawDataError("no header line")
+    header = first[1]
+    return [row for _, row in _checked_rows(rows, len(header) + extra)], header
+
+
+def _code(codes: dict[str, str], value: str, lineno: int) -> str:
+    if value not in codes:
+        raise RawDataError(
+            f"line {lineno}: unknown code {value!r}; expected one of {sorted(codes)}"
+        )
+    return codes[value]
 
 
 def _generic_header(n_features: int) -> list[str]:
@@ -117,58 +157,56 @@ def _generic_header(n_features: int) -> list[str]:
 
 def _convert_csv_passthrough(text: str):
     """Already header + numeric columns with the target last."""
-    rows = list(csv.reader(text.splitlines()))
-    header = rows[0]
-    data = [row for row in rows[1:] if row]
-    return data, header
+    rows = enumerate(csv.reader(text.splitlines()), start=1)
+    return _under_header((lineno, row) for lineno, row in rows if row)
 
 
 def _convert_whitespace_header(text: str):
     """Whitespace-separated with a header line; target already last."""
-    rows = list(_split_rows(text, None))
-    return rows[1:], rows[0]
+    return _under_header(_split_rows(text, None))
 
 
 def _convert_prostate(text: str):
     """Stanford prostate file: drop the row-index and train/test columns,
     keep the eight clinical predictors with log-PSA as the target."""
-    rows = list(_split_rows(text, None))
-    header = rows[0]  # lcavol ... lpsa train (index column is unnamed)
-    out = [row[1:-1] for row in rows[1:]]
-    return out, header[:-1]
+    # lcavol ... lpsa train; the index column is unnamed
+    data, header = _under_header(_split_rows(text, None), extra=1)
+    return [row[1:-1] for row in data], header[:-1]
 
 
 def _convert_abalone(text: str):
     """Sex M/F/I encoded as +1/-1/0 in a single column; rings is the target."""
     code = {"M": "1", "F": "-1", "I": "0"}
     out = []
-    for row in _split_rows(text, ","):
-        out.append([code[row[0]]] + row[1:])
+    for lineno, row in _checked_rows(_split_rows(text, ","), 9):
+        out.append([_code(code, row[0], lineno)] + row[1:])
     return out, ["sex"] + _generic_header(7)
+
+
+def _class_last(text: str, n_features: int, codes: dict[str, str]):
+    """Comma-separated features with a class code last, mapped by ``codes``."""
+    out = []
+    for lineno, row in _checked_rows(_split_rows(text, ","), n_features + 1):
+        out.append(row[:-1] + [_code(codes, row[-1], lineno)])
+    return out, _generic_header(n_features)
 
 
 def _convert_spam(text: str):
     """57 numeric features; {0,1} spam flag remapped to -1/+1."""
-    out = []
-    for row in _split_rows(text, ","):
-        out.append(row[:-1] + ["1" if row[-1] == "1" else "-1"])
-    return out, _generic_header(57)
+    return _class_last(text, 57, {"1": "1", "0": "-1"})
 
 
 def _convert_ionosphere(text: str):
     """34 numeric features; 'g'/'b' class mapped to +1/-1."""
-    out = []
-    for row in _split_rows(text, ","):
-        out.append(row[:-1] + ["1" if row[-1] == "g" else "-1"])
-    return out, _generic_header(34)
+    return _class_last(text, 34, {"g": "1", "b": "-1"})
 
 
 def _convert_wdbc(text: str):
     """Drop the patient id; diagnosis M/B mapped to +1/-1, moved last."""
+    code = {"M": "1", "B": "-1"}
     out = []
-    for row in _split_rows(text, ","):
-        label = "1" if row[1] == "M" else "-1"
-        out.append(row[2:] + [label])
+    for lineno, row in _checked_rows(_split_rows(text, ","), 32):
+        out.append(row[2:] + [_code(code, row[1], lineno)])
     return out, _generic_header(30)
 
 

@@ -3,16 +3,19 @@ and piecewise-constant interval atoms for explicit finite dictionaries.
 
 Stumps and trees are fitted by one split search over a ``SplitIndex``: each
 feature of the fixed design matrix is sorted once, and every candidate
-split of every feature is scored from one 2-D prefix sum of the residuals.
-Fitting minimizes the squared error against pseudo-residuals, which is the
-practical surrogate for selecting the dictionary element with the largest
-normalized negative-gradient inner product (for two-leaf partitions the two
-selections coincide; see tests).
+split of every feature of a node is scored from one 2-D prefix sum of the
+residuals over that node's presorted slice. A split cuts its node's slice
+into the slices of its two children, so no node search sorts again or
+reads rows outside its node. Fitting minimizes the squared error
+against pseudo-residuals, which is the practical surrogate for selecting
+the dictionary element with the largest normalized negative-gradient inner
+product (for two-leaf partitions the two selections coincide; see tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,15 +126,32 @@ class IntervalAtom:
         return f"atom[{self.low:.6g},{self.high:.6g})"
 
 
+class NodeSlice(NamedTuple):
+    """The rows of one tree node with every feature presorted over them.
+
+    ``rows`` holds the node's row indices in ascending order; row f of
+    ``order`` lists them sorted by feature f (stably), ``values`` holds the
+    sorted feature values and ``boundary`` marks where adjacent sorted
+    values differ, i.e. the candidate split positions.
+    """
+
+    rows: np.ndarray  # (n,)
+    order: np.ndarray  # (d, n)
+    values: np.ndarray  # (d, n)
+    boundary: np.ndarray  # (d, n - 1)
+
+
 class SplitIndex:
     """Presorted columns of one fixed design matrix for split search.
 
     Boosting refits a learner to fresh residuals every iteration while the
     design matrix never changes, so each feature is sorted once (stably) up
-    front. A tree node keeps its rows by filtering the presorted order with
-    a membership mask; filtering a stable sort keeps the tie order of a
-    fresh stable sort of the node's rows, so the search picks the same split
-    as one that re-sorts at every node.
+    front; that sort is the ``root`` slice. When a tree node splits, one
+    stable compress of its slice yields the presorted slices of both
+    children (SLIQ's partitioned attribute lists), so a node search costs
+    O(d * node rows). Filtering a stable sort keeps the tie order of a
+    fresh stable sort of the child's rows, so the search picks the same
+    split as one that re-sorts at every node.
     """
 
     def __init__(self, features):
@@ -140,18 +160,30 @@ class SplitIndex:
             raise InvalidInputError("need at least 2 rows")
         self.X = X
         columns = np.ascontiguousarray(X.T)
-        self.order = np.argsort(columns, axis=1, kind="stable")  # (d, m)
-        self.values = np.take_along_axis(columns, self.order, axis=1)
-        self.boundary = self.values[:, :-1] != self.values[:, 1:]
+        order = np.argsort(columns, axis=1, kind="stable")
+        values = np.take_along_axis(columns, order, axis=1)
+        self.root = NodeSlice(np.arange(X.shape[0]), order, values,
+                              values[:, :-1] != values[:, 1:])
 
     @property
     def n_rows(self) -> int:
         return self.X.shape[0]
 
-    def best_split(self, r: np.ndarray, rows: np.ndarray | None = None):
-        """Best least-squares split of the rows ``rows`` (ascending distinct
-        indices; None for all rows) against residuals ``r``, over every
-        feature/midpoint pair.
+    def partition(self, node: NodeSlice, feature: int,
+                  threshold: float) -> tuple[NodeSlice, NodeSlice]:
+        """The slices of the rows of ``node`` with x[feature] <= threshold
+        (left) and of the rest (right)."""
+        rows, order, values, _ = node
+        go_left = self.X[rows, feature] <= threshold
+        goes_left = np.zeros(self.n_rows, dtype=bool)  # side of each row
+        goes_left[rows[go_left]] = True
+        keep = goes_left[order].ravel()
+        return (_child_slice(keep, rows[go_left], order, values),
+                _child_slice(~keep, rows[~go_left], order, values))
+
+    def best_split(self, r: np.ndarray, node: NodeSlice):
+        """Best least-squares split of the rows of ``node`` against
+        residuals ``r``, over every feature/midpoint pair.
 
         Returns (score, feature, threshold, left_mean, right_mean) where
         score = S_L^2/n_L + S_R^2/n_R; maximizing the score minimizes the
@@ -159,19 +191,10 @@ class SplitIndex:
         among the rows. Ties are broken toward the lowest feature index,
         then the lowest threshold.
         """
-        order, values, boundary = self.order, self.values, self.boundary
-        if rows is None or rows.size == self.n_rows:
-            total = r.sum()
-        else:
-            member = np.zeros(self.n_rows, dtype=bool)
-            member[rows] = True
-            keep = member[order]
-            order = order[keep].reshape(-1, rows.size)
-            values = values[keep].reshape(-1, rows.size)
-            boundary = values[:, :-1] != values[:, 1:]
-            total = r[rows].sum()
+        rows, order, values, boundary = node
         if not boundary.any():
             return None
+        total = r[rows].sum()
         m = order.shape[1]
         counts = np.arange(1.0, m)  # float: no int-to-float cast per element
         left_sums = np.cumsum(r[order], axis=1)[:, :-1]
@@ -194,6 +217,18 @@ class SplitIndex:
                 float((total - left_sums[j, p]) / (m - n_left)))
 
 
+def _child_slice(side: np.ndarray, rows: np.ndarray, order: np.ndarray,
+                 values: np.ndarray) -> NodeSlice:
+    """The slice of ``rows`` cut from a parent's (d, n) ``order``/``values``
+    by the flat flags ``side``: each feature row keeps rows.size entries,
+    in their sorted order, so the flat compress reshapes to (d, rows.size).
+    """
+    shape = (order.shape[0], rows.size)
+    order = np.compress(side, order).reshape(shape)
+    values = np.compress(side, values).reshape(shape)
+    return NodeSlice(rows, order, values, values[:, :-1] != values[:, 1:])
+
+
 def _residuals(index: SplitIndex, residuals) -> np.ndarray:
     r = np.asarray(residuals, dtype=float).ravel()
     if r.shape[0] != index.n_rows:
@@ -209,7 +244,7 @@ def fit_stump(index: SplitIndex, residuals) -> DecisionStump:
     With no valid split (all rows identical) both leaves carry the mean.
     """
     r = _residuals(index, residuals)
-    found = index.best_split(r)
+    found = index.best_split(r, index.root)
     if found is None:
         mu = float(r.mean())
         return DecisionStump(0, float(index.X[0, 0]), mu, mu)
@@ -225,33 +260,35 @@ def fit_tree(index: SplitIndex, residuals, splits: int) -> RegressionTree:
 
     Each round splits the leaf whose best split yields the largest squared
     error reduction; stops early when no leaf offers a positive reduction.
-    Leaves carry residual means.
+    Leaves carry residual means. A tree with ``splits`` splits makes at most
+    2 * splits - 1 node searches: the children of the last split are never
+    searched.
     """
     if splits < 1:
         raise InvalidInputError(f"splits must be >= 1, got {splits}")
     r = _residuals(index, residuals)
-    X = index.X
-    if X.shape[0] < splits + 1:
+    if index.n_rows < splits + 1:
         raise InvalidInputError(f"need at least {splits + 1} rows for {splits} splits")
 
     nodes: list[TreeNode] = [TreeNode(value=float(r.mean()))]
-    # per-leaf: node id -> (row indices, best-split tuple or None, sse reduction)
-    pending: dict[int, tuple[np.ndarray, tuple | None, float]] = {}
+    # per-leaf: node id -> (node slice, best-split tuple or None, sse reduction)
+    pending: dict[int, tuple[NodeSlice, tuple | None, float]] = {}
 
-    def leaf_candidate(node_id: int, rows: np.ndarray) -> None:
-        found = index.best_split(r, rows) if rows.size >= 2 else None
+    def leaf_candidate(node_id: int, node: NodeSlice) -> None:
+        rows = node.rows
+        found = index.best_split(r, node) if rows.size >= 2 else None
         if found is None:
-            pending[node_id] = (rows, None, 0.0)
+            pending[node_id] = (node, None, 0.0)
             return
         sub_r = r[rows]
         sse = float(np.sum((sub_r - sub_r.mean()) ** 2))
         reduction = found[0] - sub_r.sum() ** 2 / rows.size
         if reduction <= _MIN_GAIN_REL * sse:
-            pending[node_id] = (rows, None, 0.0)
+            pending[node_id] = (node, None, 0.0)
         else:
-            pending[node_id] = (rows, found, float(reduction))
+            pending[node_id] = (node, found, float(reduction))
 
-    leaf_candidate(0, np.arange(X.shape[0]))
+    leaf_candidate(0, index.root)
     done = 0
     while done < splits:
         target, target_red = -1, 0.0
@@ -261,15 +298,16 @@ def fit_tree(index: SplitIndex, residuals, splits: int) -> RegressionTree:
                 target, target_red = node_id, reduction
         if target < 0:
             break
-        rows, found, _ = pending.pop(target)
+        node, found, _ = pending.pop(target)
         _, j, thr, left_mean, right_mean = found
-        go_left = X[rows, j] <= thr
         left_id, right_id = len(nodes), len(nodes) + 1
         nodes.append(TreeNode(value=left_mean))
         nodes.append(TreeNode(value=right_mean))
         nodes[target] = TreeNode(feature=j, threshold=thr, left=left_id, right=right_id)
-        leaf_candidate(left_id, rows[go_left])
-        leaf_candidate(right_id, rows[~go_left])
         done += 1
+        if done < splits:  # no split follows the last, so its children go unsearched
+            left, right = index.partition(node, j, thr)
+            leaf_candidate(left_id, left)
+            leaf_candidate(right_id, right)
 
     return RegressionTree(nodes=tuple(nodes), splits=done)

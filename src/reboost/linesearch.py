@@ -82,31 +82,35 @@ def _make_objective(kind: LossKind, base, g, y):
 
 def _expand_bracket(slope, max_expansions: int):
     """Walk from beta = 0 along the descent side, doubling the probe from 1,
-    until R' strictly changes sign; return (lo, hi) with R'(lo) < 0 < R'(hi),
-    or (0, 0) when R'(0) = 0.
+    until R' strictly changes sign; return (lo, hi, at_near) with
+    R'(lo) < 0 < R'(hi), where at_near is the (R', R'') pair at the end
+    nearer 0, the point where the Newton search starts. When R'(0) = 0 the
+    bracket is (0, 0).
 
     The strict test matters: on a separable instance the derivative keeps
     one sign forever and merely underflows to zero along the flat tail, so
     no probe ever qualifies and UnboundedDescentError (carrying the last
     signed probe, +-2**max_expansions) is raised once the budget runs out.
     """
-    d0 = slope(0.0)[0]
-    if d0 == 0.0:
-        return 0.0, 0.0
-    sign = 1.0 if d0 < 0.0 else -1.0
+    at_near = slope(0.0)
+    if at_near[0] == 0.0:
+        return 0.0, 0.0, at_near
+    sign = 1.0 if at_near[0] < 0.0 else -1.0
     near, probe = 0.0, sign
     for _ in range(max_expansions + 1):
-        if sign * slope(probe)[0] > 0.0:
-            return (near, probe) if sign > 0.0 else (probe, near)
-        near, probe = probe, 2.0 * probe
+        at_probe = slope(probe)
+        if sign * at_probe[0] > 0.0:
+            return (near, probe, at_near) if sign > 0.0 else (probe, near, at_near)
+        near, probe, at_near = probe, 2.0 * probe, at_probe
     raise UnboundedDescentError(
         f"no sign change within {max_expansions} expansions (edge {near})", near
     )
 
 
-def _newton(slope, lo: float, hi: float, tol: float) -> float:
+def _newton(slope, lo: float, hi: float, at_start, tol: float) -> float:
     """Safeguarded Newton on R' inside [lo, hi], where R'(lo) < 0 < R'(hi),
-    from beta = 0 clamped into the bracket.
+    from beta = 0 clamped into the bracket; ``at_start`` is the
+    (R', R'') pair there.
 
     Each step moves an end of the bracket to beta by the sign of R'(beta),
     then takes the Newton step if it lands strictly inside the bracket and
@@ -114,8 +118,8 @@ def _newton(slope, lo: float, hi: float, tol: float) -> float:
     when it rounds onto the bracket end it started from.
     """
     b = min(max(0.0, lo), hi)
+    d1, d2 = at_start
     for _ in range(_MAX_STEPS):
-        d1, d2 = slope(b)
         if d1 < 0.0:
             lo = b
         elif d1 > 0.0:
@@ -129,6 +133,7 @@ def _newton(slope, lo: float, hi: float, tol: float) -> float:
         if abs(step - b) <= tiny:
             return step
         b = step
+        d1, d2 = slope(b)
     return b
 
 
@@ -159,7 +164,7 @@ def line_search(kind: LossKind, base_preds, gvals, targets,
             return -t
         if kind is LossKind.SQUARED:  # clamp the closed form (interior case)
             return float(min(max(line_search_l2(base, g, y), -t), t))
-        lo, hi = -t, t
+        lo, hi, at_start = -t, t, slope(0.0)
     else:
-        lo, hi = _expand_bracket(slope, opts.max_expansions)
-    return _newton(slope, lo, hi, opts.tolerance)
+        lo, hi, at_start = _expand_bracket(slope, opts.max_expansions)
+    return _newton(slope, lo, hi, at_start, opts.tolerance)

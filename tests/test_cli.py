@@ -229,6 +229,14 @@ class TestExitCodes:
         assert not (cache / "raw" / "toy.data").exists()  # the bad download is removed
         assert not (tmp_path / "out" / "toy.csv").exists()
 
+    def test_missing_table_file_exits_3(self, tmp_path, cache, capsys):
+        table = tmp_path / "missing.cfg"
+        code = main(["fetch", "--name", "toy", "--table", str(table),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(table) in err
+
     def test_pinned_checksum_fetch_converts(self, tmp_path, cache):
         table = toy_table(tmp_path, None)
         code = main(["fetch", "--name", "toy", "--table", table,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from reboost.cli import fetch
+from reboost.cli import EXIT_DATA, fetch, main
 
 
 def numbers(count, start=1):
@@ -64,3 +64,43 @@ def test_wdbc_drops_id_and_moves_diagnosis_last():
 def test_every_table_format_has_a_converter():
     table = fetch.load_source_table()
     assert {table[name]["format"] for name in table.sections()} <= set(fetch._CONVERTERS)
+
+
+@pytest.mark.parametrize("convert, text, message", [
+    (fetch._convert_spam, "1,2,1\n", "line 1: 3 fields, expected 58"),
+    (fetch._convert_spam, ",".join(numbers(57)) + ",2\n", "line 1: unknown code '2'"),
+    (fetch._convert_abalone, "\n".join(f"{sex},{','.join(numbers(8))}" for sex in "MX"),
+     "line 2: unknown code 'X'"),
+    (fetch._convert_abalone, "M,1,2\n", "line 1: 3 fields, expected 9"),
+    (fetch._convert_wdbc, f"842302,M,{','.join(numbers(30))}\n\n842517\n",
+     "line 3: 1 fields, expected 32"),
+    (fetch._convert_wdbc, f"842302,X,{','.join(numbers(30))}\n", "line 1: unknown code 'X'"),
+    (fetch._convert_ionosphere, ",".join(numbers(34)) + ",x\n", "line 1: unknown code 'x'"),
+    (fetch._convert_ionosphere, "1,g\n", "line 1: 2 fields, expected 35"),
+    (fetch._convert_csv_passthrough, "a,b,target\n1,2,3\n4,5\n", "line 3: 2 fields, expected 3"),
+    (fetch._convert_csv_passthrough, "\n", "no header line"),
+    (fetch._convert_whitespace_header, "AGE SEX Y\n59 2 151 7\n", "line 2: 4 fields, expected 3"),
+    (fetch._convert_whitespace_header, "", "no header line"),
+    (fetch._convert_prostate, "\tlcavol\tlpsa\ttrain\n1\t-0.58\t-0.43\n",
+     "line 2: 3 fields, expected 4"),
+], ids=["spam-width", "spam-code", "abalone-sex", "abalone-width", "wdbc-width",
+        "wdbc-code", "ionosphere-code", "ionosphere-width", "csv-width", "csv-empty",
+        "whitespace-width", "whitespace-empty", "prostate-width"])
+def test_malformed_rows_raise_raw_data_error(convert, text, message):
+    with pytest.raises(fetch.RawDataError, match=message):
+        convert(text)
+
+
+def test_malformed_download_exits_3_naming_the_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(fetch.CACHE_ENV, str(tmp_path / "cache"))
+    raw = tmp_path / "spam.data"
+    raw.write_text("1,2,1\n", encoding="utf-8")
+    table = tmp_path / "table.cfg"
+    table.write_text(f"[spam]\nurl = {raw.as_uri()}\nsha256 = unpinned\nformat = spam\n",
+                     encoding="utf-8")
+    code = main(["fetch", "--name", "spam", "--table", str(table),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    raw_copy = tmp_path / "cache" / "raw" / "spam.data"
+    assert capsys.readouterr().err == f"error: {raw_copy}: line 1: 3 fields, expected 58\n"
+    assert not (tmp_path / "out" / "spam.csv").exists()

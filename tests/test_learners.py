@@ -260,6 +260,91 @@ class TestSplitIndex:
             SplitIndex(np.ones((1, 2)))
 
 
+def tied_design(rng, m, d):
+    """Integer (tied) columns at even feature indices, normal columns at odd
+    ones, and a constant last column when d > 2."""
+    X = rng.normal(size=(m, d))
+    X[:, ::2] = rng.integers(0, 10, size=(m, X[:, ::2].shape[1]))
+    if d > 2:
+        X[:, -1] = 2.5
+    return X
+
+
+class TestPartition:
+    def assert_presorted(self, X, node, rows):
+        local = np.argsort(X[rows].T, axis=1, kind="stable")
+        assert np.array_equal(node.rows, rows)
+        assert np.array_equal(node.order, rows[local])
+        assert np.array_equal(node.values, np.take_along_axis(X[rows].T, local, axis=1))
+        assert np.array_equal(node.boundary, node.values[:, :-1] != node.values[:, 1:])
+
+    def test_children_equal_fresh_stable_sort(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            m, d = int(rng.integers(4, 80)), int(rng.integers(1, 5))
+            X = tied_design(rng, m, d)
+            index = SplitIndex(X)
+            node = index.root
+            for _ in range(3):  # split a child again: a non-root parent
+                j = int(rng.integers(d))
+                thr = float(rng.choice(X[node.rows, j]))
+                left, right = index.partition(node, j, thr)
+                go_left = X[node.rows, j] <= thr
+                self.assert_presorted(X, left, node.rows[go_left])
+                self.assert_presorted(X, right, node.rows[~go_left])
+                node = left if left.rows.size >= right.rows.size else right
+                if node.rows.size < 2:
+                    break
+
+    def test_root_is_the_presorted_design(self):
+        X = tied_design(np.random.default_rng(13), 30, 3)
+        self.assert_presorted(X, SplitIndex(X).root, np.arange(30))
+
+
+class TestSearchEffort:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        search = SplitIndex.best_split
+
+        def counted(self, r, node):
+            calls.append(node.rows.size)
+            return search(self, r, node)
+
+        monkeypatch.setattr(SplitIndex, "best_split", counted)
+        return calls
+
+    def test_full_tree_skips_the_last_children(self, searches):
+        # four steps of one grid: every split gains and every leaf keeps
+        # at least two rows, so each leaf is searched
+        grid = np.array([(i, j) for i in range(8) for j in range(8)], dtype=float)
+        r = 4.0 * (grid[:, 0] >= 4) + 2.0 * (grid[:, 1] >= 4) + 0.1 * grid[:, 0]
+        tree = fit_tree(SplitIndex(grid), r, 4)
+        assert tree.splits == 4
+        assert len(searches) == 7  # 2J - 1: root, then two per split but the last
+        assert searches[0] == 64
+
+    def test_single_split_searches_once(self, searches):
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(20, 3))
+        assert fit_tree(SplitIndex(X), rng.normal(size=20), 1).splits == 1
+        assert searches == [20]
+
+    def test_early_stop_searches_every_leaf_once(self, searches):
+        # three residual levels along x: two splits leave no gain, so the
+        # children of the second split are searched and the tree stops
+        X = np.arange(30.0).reshape(-1, 1)
+        r = np.repeat([0.0, 1.0, 3.0], 10)
+        tree = fit_tree(SplitIndex(X), r, 4)
+        assert tree.splits == 2
+        assert len(searches) == 5
+
+    def test_stump_searches_once(self, searches):
+        rng = np.random.default_rng(16)
+        fit_stump(SplitIndex(rng.normal(size=(25, 2))), rng.normal(size=25))
+        assert searches == [25]
+
+
 @st.composite
 def design_and_residuals(draw):
     m = draw(st.integers(2, 40))
@@ -306,6 +391,37 @@ class TestSplitIndexOracle:
         left = X[:, j] <= thr
         assert stump == DecisionStump(j, thr, float(r[left].mean()),
                                       float(r[~left].mean()))
+
+
+class TestLargeTreeOracle:
+    """Fixed designs larger than the hypothesis cases. The residuals follow
+    a tied column, so tie order inside the node slices shows in the leaf
+    values; an outlier on a continuous column makes the first split
+    isolate one row."""
+
+    @pytest.mark.parametrize("seed, m, d, splits, outlier", [
+        (20, 300, 4, 7, False),
+        (21, 500, 10, 4, True),
+        (22, 1200, 3, 7, True),
+        (23, 2000, 6, 5, False),
+        (24, 800, 1, 7, False),
+        (25, 600, 2, 6, True),
+    ])
+    def test_tree_equals_resorting_oracle(self, seed, m, d, splits, outlier):
+        rng = np.random.default_rng(seed)
+        X = tied_design(rng, m, d)
+        r = 0.3 * X[:, 0] + np.sin(3.0 * X[:, -1]) + 0.3 * rng.normal(size=m)
+        if outlier:
+            r[np.argmax(X[:, 1])] += 50.0
+        tree = fit_tree(SplitIndex(X), r, splits)
+        nodes, done = resort_tree(X, r, splits)
+        assert done == splits
+        assert tree.nodes == nodes
+        assert tree.splits == done
+        if outlier:
+            first = tree.nodes[0]
+            assert first.feature == 1
+            assert np.sum(X[:, 1] > first.threshold) == 1
 
 
 class TestFitTree:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reboost import linesearch
 from reboost.core import DegenerateDirectionError, UnboundedDescentError
 from reboost.linesearch import (
     LineSearchOptions,
@@ -166,13 +167,37 @@ class TestProperties:
             # relative tolerance 1e-10 would leave about 1e-10
             assert relative_slope(kind, base, g, y, beta) <= 1e-9
 
+    @pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.EXPONENTIAL])
+    def test_no_point_evaluated_twice(self, kind, monkeypatch):
+        # the Newton search starts where the bracket expansion stopped and
+        # reuses that evaluation
+        points = []
+
+        def recording(*args):
+            slope = _make_objective(*args)
+
+            def at(b):
+                points.append(b)
+                return slope(b)
+            return at
+
+        monkeypatch.setattr(linesearch, "_make_objective", recording)
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            points.clear()
+            try:
+                line_search(kind, *random_instance(rng, kind))
+            except UnboundedDescentError:
+                continue
+            assert len(points) == len(set(points))
+
     def test_risk_at_most_grid_minimum(self):
         rng = np.random.default_rng(3)
         checked = 0
         while checked < 100:
             base, g, y = random_instance(rng, LossKind.LOGISTIC)
             try:
-                lo, hi = _expand_bracket(_make_objective(LossKind.LOGISTIC, base, g, y), 60)
+                lo, hi, _ = _expand_bracket(_make_objective(LossKind.LOGISTIC, base, g, y), 60)
             except UnboundedDescentError:
                 continue
             beta = line_search(LossKind.LOGISTIC, base, g, y)
