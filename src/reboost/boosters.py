@@ -24,7 +24,7 @@ from reboost.core import (
     UnboundedDescentError,
 )
 from reboost.learners import SplitIndex, fit_stump, fit_tree
-from reboost.linesearch import LineSearchOptions, line_search
+from reboost.linesearch import line_search
 from reboost.losses import LossKind, empirical_risk, neg_gradient_inner, pseudo_residuals
 
 
@@ -142,7 +142,6 @@ class TrainConfig:
     loss: LossKind
     learner: LearnerSpec
     variant: Variant
-    record_trace: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -204,7 +203,6 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
         selector = _FitSelector(config.learner, X)
 
     variant = config.variant
-    opts = LineSearchOptions()
 
     for k in range(1, config.max_iterations + 1):
         residuals = pseudo_residuals(config.loss, preds, y)
@@ -219,8 +217,7 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
             model.rescale(alpha)
         base = (1.0 - alpha) * preds
         if isinstance(variant, Truncated):
-            bounded = LineSearchOptions(tolerance=opts.tolerance, bound=variant.bound_at(k))
-            beta = line_search(config.loss, base, gvals, y, bounded)
+            beta = line_search(config.loss, base, gvals, y, variant.bound_at(k))
         elif isinstance(variant, Epsilon):  # fixed step along the descent sign
             direction = np.sign(neg_gradient_inner(config.loss, base, y, gvals))
             if direction == 0.0:
@@ -228,26 +225,19 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
                 break
             beta = variant.eps * direction
         else:  # Plain is Shrunk with nu = 1
-            beta, note = _searched_step(config.loss, base, gvals, y, opts)
+            try:
+                beta = line_search(config.loss, base, gvals, y)
+            except UnboundedDescentError as err:  # e.g. exponential loss, separable data
+                beta, note = err.edge, "capped-beta"
             if isinstance(variant, Shrunk):
                 beta = variant.nu * beta
 
         model.add_term(beta, learner)
         preds = base + beta * gvals
         risk = empirical_risk(config.loss, preds, y)
-        if config.record_trace:
-            trace.append(TraceRecord(k, learner.describe(), float(beta), alpha, risk, note))
+        trace.append(TraceRecord(k, learner.describe(), float(beta), alpha, risk, note))
 
     return model, trace
-
-
-def _searched_step(kind, base, gvals, y, opts):
-    """Unbounded line search, capping the step at the last bracket edge
-    when the descent never turns (e.g. exponential loss on separable data)."""
-    try:
-        return line_search(kind, base, gvals, y, opts), ""
-    except UnboundedDescentError as err:
-        return err.edge, "capped-beta"
 
 
 def excess_risk_trace(trace: TrainTrace, reference: float) -> np.ndarray:

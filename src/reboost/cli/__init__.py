@@ -1,7 +1,9 @@
 """Command-line surface: train, predict, simulate, bench, convergence, fetch.
 
-Exit codes: 0 success, 2 invalid flags, 3 data/model parse error or an
-output file that cannot be written, 4 training failure, 5 network failure,
+Exit codes: 0 success, 2 invalid flags (a variant missing its parameter,
+such as ``--variant shrunk`` without ``--nu``, or a ``--k-max`` below 1),
+3 data/model parse error, a malformed ``fetch --table`` entry or an output
+file that cannot be written, 4 training failure, 5 network failure,
 6 checksum mismatch.
 """
 
@@ -59,14 +61,14 @@ def _learner_spec(args) -> boosters.LearnerSpec:
 
 
 def cmd_train(args) -> int:
+    config = boosters.TrainConfig(args.iterations, LossKind(args.loss),
+                                  _learner_spec(args), _build_variant(args))
     try:
         data = data_io.load_dataset_csv(args.data, _task(args.task))
     except (OSError, data_io.CsvParseError, InvalidInputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
     try:
-        config = boosters.TrainConfig(args.iterations, LossKind(args.loss),
-                                      _learner_spec(args), _build_variant(args))
         model, trace = boosters.train(data, config, args.seed)
     except (InvalidInputError, InvalidSpecError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -155,17 +157,16 @@ def _print_report(report: harness.ExperimentReport) -> None:
 
 def cmd_simulate(args) -> int:
     if args.experiment == "orange":
-        loss, learner = LossKind.LOGISTIC, boosters.StumpLearner()
-        k_max = args.k_max or 1000
+        loss, learner, k_max = LossKind.LOGISTIC, boosters.StumpLearner(), 1000
     else:
-        loss, learner = LossKind.SQUARED, boosters.TreeLearner(4)
-        k_max = args.k_max or 500
-    grid = harness.TuningGrid(k_max=k_max)
+        loss, learner, k_max = LossKind.SQUARED, boosters.TreeLearner(4), 500
+    grid = harness.TuningGrid(k_max=k_max if args.k_max is None else args.k_max)
     provider = _toy_provider(args.experiment, args.sigma, args.q)
     return _run_experiment(args, provider, grid, loss, learner)
 
 
 def cmd_bench(args) -> int:
+    grid = harness.TuningGrid(k_max=1000 if args.k_max is None else args.k_max)
     task = _task(args.task)
     try:
         data = data_io.load_dataset_csv(args.data, task)
@@ -173,7 +174,6 @@ def cmd_bench(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
     loss = LossKind.LOGISTIC if task is Task.CLASSIFICATION else LossKind.SQUARED
-    grid = harness.TuningGrid(k_max=args.k_max or 1000)
 
     def provider(seed: int):
         return harness.split_dataset(data, (0.5, 0.25, 0.25), seed)
@@ -227,7 +227,7 @@ def cmd_fetch(args) -> int:
     except fetch.ChecksumError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CHECKSUM
-    except (OSError, fetch.RawDataError) as err:  # unreadable table or download
+    except (OSError, fetch.TableError, fetch.RawDataError) as err:  # table or download
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
     except KeyError as err:
@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=0, help="noise feature count (orange)")
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k-max", type=int)
+    p.add_argument("--k-max", type=int,
+                   help="iterations per training, >= 1 (default 500 for m1/m2, 1000 for orange)")
     p.add_argument("--methods", nargs="+", choices=harness.METHODS)
     p.add_argument("--report-out")
     p.set_defaults(func=cmd_simulate)
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("regression", "classification"), required=True)
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k-max", type=int)
+    p.add_argument("--k-max", type=int, help="iterations per training, >= 1 (default 1000)")
     p.add_argument("--methods", nargs="+", choices=harness.METHODS)
     p.add_argument("--report-out")
     p.set_defaults(func=cmd_bench)

@@ -39,6 +39,11 @@ class RawDataError(ValueError):
     """A raw download whose rows do not have the layout of its format."""
 
 
+class TableError(ValueError):
+    """A source table that cannot be parsed, or an entry of it that names
+    no url or no known format."""
+
+
 def cache_dir() -> Path:
     root = os.environ.get(CACHE_ENV)
     if root:
@@ -48,11 +53,16 @@ def cache_dir() -> Path:
 
 def load_source_table(path=None) -> configparser.ConfigParser:
     """The packaged source table, or the table file at ``path``; a missing
-    file raises FileNotFoundError naming it."""
-    parser = configparser.ConfigParser()
+    file raises FileNotFoundError and one that is not UTF-8 INI text
+    raises TableError, each naming the file. Values are read verbatim (no
+    %-interpolation), so a percent-encoded url stays as written."""
+    parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except (configparser.Error, UnicodeDecodeError) as err:
+            raise TableError(f"{path}: not a source table: {str(err).splitlines()[0]}") from None
     else:
         text = resources.files("reboost").joinpath("datasets.cfg").read_text("utf-8")
         parser.read_string(text)
@@ -85,23 +95,30 @@ def fetch_dataset(name: str, out_dir, url_override: str | None = None,
                   table_path=None) -> Path:
     """Obtain one named dataset and write ``<out_dir>/<name>.csv``.
 
-    Raises NetworkError / ChecksumError; RawDataError when the download
-    does not have the layout of its format; KeyError for unknown names.
+    Raises NetworkError / ChecksumError; TableError, before any download,
+    when the table or its entry is malformed; RawDataError when the
+    download does not have the layout of its format; KeyError for unknown
+    names.
     """
     table = load_source_table(table_path)
     if name not in table:
         raise KeyError(f"unknown dataset {name!r}; known: {table.sections()}")
     entry = table[name]
-    url = url_override or entry["url"]
+    where = f"{table_path or 'packaged datasets.cfg'}: entry [{name}]"
+    url = url_override or entry.get("url")
+    if not url:
+        raise TableError(f"{where} has no url")
+    fmt = entry.get("format")
+    if fmt not in _CONVERTERS:
+        raise TableError(f"{where}: unknown format {fmt!r}; known: {sorted(_CONVERTERS)}")
     raw = cache_dir() / "raw" / f"{name}.data"
 
     if not raw.exists():
         _download(url, raw)
     _verify(raw, entry.get("sha256", "unpinned"), name)
 
-    converter = _CONVERTERS[entry["format"]]
     try:
-        rows, header = converter(raw.read_text("utf-8", errors="replace"))
+        rows, header = _CONVERTERS[fmt](raw.read_text("utf-8", errors="replace"))
     except RawDataError as err:
         raise RawDataError(f"{raw}: {err}") from None
     out_dir = Path(out_dir)

@@ -23,7 +23,14 @@ from reboost.boosters import (
     Truncated,
     train,
 )
-from reboost.core import Dataset, EnsembleModel, InvalidInputError, Task, TrainTrace
+from reboost.core import (
+    Dataset,
+    EnsembleModel,
+    InvalidInputError,
+    InvalidSpecError,
+    Task,
+    TrainTrace,
+)
 
 log = logging.getLogger(__name__)
 
@@ -46,6 +53,10 @@ class TuningGrid:
     u_grid: tuple = _U_GRID
     t0_grid: tuple = _T0_GRID
     k_max: int = 500
+
+    def __post_init__(self):
+        if self.k_max < 1:
+            raise InvalidSpecError(f"k_max must be >= 1, got {self.k_max}")
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,21 @@ Squared loss has a closed form. For the other losses R is convex with a
 closed-form R'', so the search works on the derivative (the Newton step
 of Friedman's TreeBoost and of XGBoost): it walks out from beta = 0 on
 the descent side, doubling the probe from 1 until R' strictly changes
-sign, and then takes Newton steps on R' inside that sign-change bracket,
-bisecting whenever a Newton step would leave it. It stops once a step
-moves beta by at most ``tolerance`` relative to max(1, |beta|), or after
-``_MAX_STEPS`` steps. An optional bound restricts the search to
-[-bound, bound].
+sign (at most ``_MAX_EXPANSIONS`` times), and then takes Newton steps on
+R' inside that sign-change bracket, bisecting whenever a Newton step
+would leave it. It stops once a step moves beta by at most ``_TOLERANCE``
+relative to max(1, |beta|), or after ``_MAX_STEPS`` steps.
+
+An optional bound t restricts the search to [-t, t]. R is convex, so the
+bounded minimizer is the unbounded one clamped to [-t, t]: squared loss
+clamps its closed form; the other losses return the bound on the descent
+side when R' keeps one sign on [-t, t], and otherwise run the Newton
+search inside that bracket.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,19 +28,8 @@ from reboost.core import DegenerateDirectionError, InvalidInputError, UnboundedD
 from reboost.losses import LossKind, _check_labels
 
 _MAX_STEPS = 100  # Newton or bisection steps per search; a few suffice
-
-
-@dataclass(frozen=True)
-class LineSearchOptions:
-    tolerance: float = 1e-10  # on beta, relative to max(1, |beta|)
-    max_expansions: int = 60
-    bound: float | None = None  # restrict beta to [-bound, bound]
-
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise InvalidInputError("tolerance must be positive")
-        if self.bound is not None and not self.bound > 0:
-            raise InvalidInputError("bound must be positive when given")
+_TOLERANCE = 1e-10  # on beta, relative to max(1, |beta|)
+_MAX_EXPANSIONS = 60  # doublings of the bracket probe before giving up
 
 
 def line_search_l2(base_preds, gvals, targets) -> float:
@@ -51,19 +44,14 @@ def line_search_l2(base_preds, gvals, targets) -> float:
 
 
 def _make_objective(kind: LossKind, base, g, y):
-    """The closure beta -> (R'(beta), R''(beta)) of the mean risk along g.
+    """The closure beta -> (R'(beta), R''(beta)) of the mean logistic or
+    exponential risk along g.
 
     Precomputing y*base, y*g and (y*g)**2 makes each evaluation one pass
     over the sample that yields both derivatives, with the means taken as
     dot products: logistic R'' = mean(yg^2 s (1 - s)) with
     s = expit(-(yb + beta yg)), exponential R'' = mean(yg^2 e^-(yb + beta yg)).
     """
-    if kind is LossKind.SQUARED:
-        r = base - y
-        c1 = 2.0 * float(np.mean(r * g))
-        c2 = float(np.mean(g * g))
-        return lambda b: (c1 + 2.0 * c2 * b, 2.0 * c2)
-
     m = y.size
     yb = y * base
     yg = y * g
@@ -114,7 +102,7 @@ def _newton(slope, lo: float, hi: float, at_start, tol: float) -> float:
 
     Each step moves an end of the bracket to beta by the sign of R'(beta),
     then takes the Newton step if it lands strictly inside the bracket and
-    bisects otherwise. A Newton step within tolerance ends the search even
+    bisects otherwise. A Newton step within ``tol`` ends the search even
     when it rounds onto the bracket end it started from.
     """
     b = min(max(0.0, lo), hi)
@@ -138,13 +126,15 @@ def _newton(slope, lo: float, hi: float, at_start, tol: float) -> float:
 
 
 def line_search(kind: LossKind, base_preds, gvals, targets,
-                opts: LineSearchOptions = LineSearchOptions()) -> float:
+                bound: float | None = None) -> float:
     """Minimize the empirical risk along ``gvals`` from ``base_preds``.
 
-    With ``opts.bound`` = t the result is the minimizer over [-t, t] (by
-    convexity, the clamped endpoint whenever the unconstrained minimizer
-    falls outside).
+    With ``bound`` = t the result is the minimizer over [-t, t]: by
+    convexity, the unbounded minimizer clamped to [-t, t]. A bound that is
+    not positive (0, negative or NaN) raises InvalidInputError.
     """
+    if bound is not None and not bound > 0:
+        raise InvalidInputError(f"bound must be positive when given, got {bound}")
     base = np.asarray(base_preds, dtype=float)
     g = np.asarray(gvals, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -152,19 +142,17 @@ def line_search(kind: LossKind, base_preds, gvals, targets,
         raise DegenerateDirectionError("direction is identically zero")
     _check_labels(kind, y)
 
-    if kind is LossKind.SQUARED and opts.bound is None:
-        return line_search_l2(base, g, y)
+    if kind is LossKind.SQUARED:
+        beta = line_search_l2(base, g, y)
+        return beta if bound is None else float(min(max(beta, -bound), bound))
 
     slope = _make_objective(kind, base, g, y)
-    if opts.bound is not None:
-        t = opts.bound
-        if slope(t)[0] <= 0.0:
-            return t
-        if slope(-t)[0] >= 0.0:
-            return -t
-        if kind is LossKind.SQUARED:  # clamp the closed form (interior case)
-            return float(min(max(line_search_l2(base, g, y), -t), t))
-        lo, hi, at_start = -t, t, slope(0.0)
+    if bound is None:
+        lo, hi, at_start = _expand_bracket(slope, _MAX_EXPANSIONS)
+    elif slope(bound)[0] <= 0.0:
+        return bound
+    elif slope(-bound)[0] >= 0.0:
+        return -bound
     else:
-        lo, hi, at_start = _expand_bracket(slope, opts.max_expansions)
-    return _newton(slope, lo, hi, at_start, opts.tolerance)
+        lo, hi, at_start = -bound, bound, slope(0.0)
+    return _newton(slope, lo, hi, at_start, _TOLERANCE)

@@ -213,6 +213,32 @@ class TestExitCodes:
         assert "alpha_1" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--variant", "shrunk"], "--nu is required"),
+        (["--variant", "truncated"], "--t0 is required"),
+        (["--variant", "epsilon"], "--eps is required"),
+        (["--iterations", "0"], "max_iterations must be >= 1"),
+        (["--learner", "tree", "--splits", "0"], "splits must be >= 1"),
+    ], ids=["shrunk-no-nu", "truncated-no-t0", "epsilon-no-eps", "iterations-0", "splits-0"])
+    def test_train_flag_errors_exit_2(self, tmp_path, capsys, flags, message):
+        data = write(tmp_path / "d.csv", "x,y\n0,1.0\n1,2.5\n2,-0.5\n")
+        code = main(["train", "--data", data, "--model-out", str(tmp_path / "m.txt"), *flags])
+        assert code == EXIT_FLAGS
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("k_max", ["0", "-3"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--experiment", "m2"],
+        ["simulate", "--experiment", "orange"],
+        ["bench", "--task", "regression"],
+    ], ids=["simulate-m2", "simulate-orange", "bench"])
+    def test_k_max_below_one_exits_2(self, tmp_path, capsys, command, k_max):
+        data = ["--data", write(tmp_path / "d.csv", "x,y\n0,1.0\n1,2.5\n")]
+        argv = command + (data if command[0] == "bench" else []) + ["--k-max", k_max]
+        assert main(argv + ["--runs", "1", "--methods", "plain"]) == EXIT_FLAGS
+        assert f"k_max must be >= 1, got {k_max}" in capsys.readouterr().err
+
     def test_missing_download_exits_5(self, tmp_path, cache, capsys):
         url = (tmp_path / "missing.data").as_uri()
         code = main(["fetch", "--name", "diabetes", "--url", url,

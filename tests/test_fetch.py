@@ -2,7 +2,7 @@
 
 import pytest
 
-from reboost.cli import EXIT_DATA, fetch, main
+from reboost.cli import EXIT_DATA, EXIT_OK, fetch, main
 
 
 def numbers(count, start=1):
@@ -104,3 +104,40 @@ def test_malformed_download_exits_3_naming_the_line(tmp_path, monkeypatch, capsy
     raw_copy = tmp_path / "cache" / "raw" / "spam.data"
     assert capsys.readouterr().err == f"error: {raw_copy}: line 1: 3 fields, expected 58\n"
     assert not (tmp_path / "out" / "spam.csv").exists()
+
+
+def test_percent_encoded_url_is_read_verbatim(tmp_path, monkeypatch):
+    monkeypatch.setenv(fetch.CACHE_ENV, str(tmp_path / "cache"))
+    raw = tmp_path / "toy data.data"
+    raw.write_text("a,b,target\n1,2,3\n", encoding="utf-8")
+    assert "%20" in raw.as_uri()
+    table = tmp_path / "table.cfg"
+    table.write_text(f"[toy]\nurl = {raw.as_uri()}\nformat = csv-target-last\n",
+                     encoding="utf-8")
+    code = main(["fetch", "--name", "toy", "--table", str(table),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert (tmp_path / "out" / "toy.csv").read_text(encoding="utf-8") == "a,b,target\n1,2,3\n"
+
+
+@pytest.mark.parametrize("table_bytes, message", [
+    (b"url = x\n", "not a source table: File contains no section headers."),
+    (b"[toy]\nurl = \xff\n", "not a source table: 'utf-8' codec can't decode"),
+    (b"[toy]\nformat = csv-target-last\n", "entry [toy] has no url"),
+    (b"[toy]\nurl = RAW\nformat = nosuch\n", "entry [toy]: unknown format 'nosuch'"),
+], ids=["not-ini", "not-utf8", "no-url", "unknown-format"])
+def test_malformed_table_exits_3_before_download(tmp_path, monkeypatch, capsys,
+                                                 table_bytes, message):
+    monkeypatch.setenv(fetch.CACHE_ENV, str(tmp_path / "cache"))
+    raw = tmp_path / "toy.data"
+    raw.write_text("a,b,target\n1,2,3\n", encoding="utf-8")
+    table = tmp_path / "table.cfg"
+    table.write_bytes(table_bytes.replace(b"RAW", raw.as_uri().encode()))
+    code = main(["fetch", "--name", "toy", "--table", str(table),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {table}: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "cache").exists()  # nothing was downloaded
+    assert not (tmp_path / "out").exists()

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from reboost import linesearch
-from reboost.core import DegenerateDirectionError, UnboundedDescentError
+from reboost.core import DegenerateDirectionError, InvalidInputError, UnboundedDescentError
 from reboost.linesearch import (
-    LineSearchOptions,
     _expand_bracket,
     _make_objective,
     line_search,
     line_search_l2,
 )
-from reboost.losses import LossKind, empirical_risk, loss_derivative
+from reboost.losses import LossKind, empirical_risk, loss_derivative, neg_gradient_inner
 
 
 def golden_oracle(f, lo, hi, tol=1e-12):
@@ -72,8 +71,7 @@ class TestLineSearchGeneric:
         base = np.zeros(3)
         g = np.ones(3)
         y = np.full(3, 5.0)
-        opts = LineSearchOptions(bound=0.1)
-        assert line_search(LossKind.SQUARED, base, g, y, opts) == pytest.approx(0.1)
+        assert line_search(LossKind.SQUARED, base, g, y, bound=0.1) == pytest.approx(0.1)
 
     def test_logistic_stationary_point(self):
         # two positives pulled up, one negative pulled up: minimizer ln 2
@@ -125,15 +123,21 @@ class TestLineSearchGeneric:
     def test_logistic_bound(self, bound, expected):
         # unconstrained minimizer ln 2: clamped to a small bound, kept inside a large one
         y = np.array([1.0, 1.0, -1.0])
-        beta = line_search(LossKind.LOGISTIC, np.zeros(3), np.ones(3), y,
-                           LineSearchOptions(bound=bound))
+        beta = line_search(LossKind.LOGISTIC, np.zeros(3), np.ones(3), y, bound=bound)
         assert beta == pytest.approx(expected, rel=1e-12)
         assert line_search(LossKind.LOGISTIC, np.zeros(3), -np.ones(3), y,
-                           LineSearchOptions(bound=bound)) == pytest.approx(-expected, rel=1e-12)
+                           bound=bound) == pytest.approx(-expected, rel=1e-12)
 
     def test_zero_direction(self):
         with pytest.raises(DegenerateDirectionError):
             line_search(LossKind.LOGISTIC, np.zeros(2), np.zeros(2), np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
+    def test_non_positive_bound_rejected(self, kind, bound):
+        y = np.array([1.0, -1.0, 1.0])
+        with pytest.raises(InvalidInputError, match="bound"):
+            line_search(kind, np.zeros(3), np.array([1.0, 0.5, -2.0]), y, bound=bound)
 
 
 def random_instance(rng, kind):
@@ -148,7 +152,7 @@ def relative_slope(kind, base, g, y, beta):
     """|R'(beta)| over the mean magnitude of its terms loss'(f_i) g_i: at an
     exact minimizer, rounding alone leaves this near machine epsilon."""
     scale = np.mean(np.abs(loss_derivative(kind, base + beta * g, y) * g))
-    return abs(_make_objective(kind, base, g, y)(beta)[0]) / scale
+    return abs(neg_gradient_inner(kind, base + beta * g, y, g)) / scale
 
 
 class TestProperties:
@@ -166,6 +170,33 @@ class TestProperties:
             # Newton ends near 1e-16 here; a last bisection step within the
             # relative tolerance 1e-10 would leave about 1e-10
             assert relative_slope(kind, base, g, y, beta) <= 1e-9
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_bound_clamps_unbounded_minimizer(self, kind):
+        # R is convex, so the minimizer over [-t, t] is the unbounded one
+        # clamped to [-t, t]; with no finite minimizer it is the bound on
+        # the side of the descent
+        rng = np.random.default_rng(5)
+        seen = {"inside": 0, "outside": 0, "unbounded": 0}
+        for _ in range(200):
+            base, g, y = random_instance(rng, kind)
+            try:
+                star = line_search(kind, base, g, y)
+            except UnboundedDescentError as err:
+                t = float(np.exp(rng.uniform(-3.0, 3.0)))
+                cases = [(t, np.copysign(t, err.edge), "unbounded")]
+            else:
+                inside = abs(star) * rng.uniform(1.1, 10.0)
+                outside = abs(star) * rng.uniform(0.1, 0.9)
+                cases = [(inside, star, "inside")]
+                if outside > 0.0:
+                    cases.append((outside, np.copysign(outside, star), "outside"))
+            for t, expected, case in cases:
+                got = line_search(kind, base, g, y, bound=t)
+                assert abs(got - expected) <= 1e-9 * abs(expected), (case, t, got, expected)
+                seen[case] += 1
+        assert seen["inside"] > 0 and seen["outside"] > 0
+        assert (seen["unbounded"] > 0) == kind.is_classification
 
     @pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.EXPONENTIAL])
     def test_no_point_evaluated_twice(self, kind, monkeypatch):
