@@ -25,7 +25,7 @@ from reboost.core import (
 )
 from reboost.learners import SplitIndex, fit_stump, fit_tree
 from reboost.linesearch import line_search
-from reboost.losses import LossKind, empirical_risk, neg_gradient_inner, pseudo_residuals
+from reboost.losses import LossKind, empirical_risk, pseudo_residuals
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class ShrinkageSchedule:
     c6: float
 
     def __post_init__(self):
-        if self.c4 < 0 or self.c5 < 0 or self.c5 + self.c6 <= 0:
+        if not (self.c4 >= 0 and self.c5 >= 0 and self.c5 + self.c6 > 0):  # NaN fails too
             raise InvalidSpecError("schedule requires c4 >= 0, c5 >= 0, c5 + c6 > 0")
 
     @classmethod
@@ -91,8 +91,9 @@ class Truncated:
     exponent: float = 2.0 / 3.0
 
     def __post_init__(self):
-        if not self.t0 > 0:
-            raise InvalidSpecError(f"t0 must be positive, got {self.t0}")
+        if not (0 < self.t0 < np.inf and 0 <= self.exponent < np.inf):
+            raise InvalidSpecError("truncated needs a finite t0 > 0 and a finite exponent "
+                                   f">= 0, got t0 = {self.t0}, exponent = {self.exponent}")
 
     def bound_at(self, k: int) -> float:
         return self.t0 * k ** (-self.exponent)
@@ -103,8 +104,8 @@ class Epsilon:
     eps: float
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise InvalidSpecError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < np.inf:
+            raise InvalidSpecError(f"eps must be positive and finite, got {self.eps}")
 
 
 Variant = Plain | Rescale | Shrunk | Truncated | Epsilon
@@ -218,8 +219,8 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
         base = (1.0 - alpha) * preds
         if isinstance(variant, Truncated):
             beta = line_search(config.loss, base, gvals, y, variant.bound_at(k))
-        elif isinstance(variant, Epsilon):  # fixed step along the descent sign
-            direction = np.sign(neg_gradient_inner(config.loss, base, y, gvals))
+        elif isinstance(variant, Epsilon):  # fixed step along the descent sign:
+            direction = np.sign(np.mean(residuals * gvals))  # -R'(0), as base = preds
             if direction == 0.0:
                 trace.stopped_early = f"degenerate direction at iteration {k}"
                 break

@@ -1,7 +1,8 @@
 """Command-line surface: train, predict, simulate, bench, convergence, fetch.
 
 Exit codes: 0 success, 2 invalid flags (a variant missing its parameter,
-such as ``--variant shrunk`` without ``--nu``, or a ``--k-max`` below 1),
+such as ``--variant shrunk`` without ``--nu``, a ``--k-max`` below 1, or a
+classification loss without ``--task classification``),
 3 data/model parse error, a malformed ``fetch --table`` entry or an output
 file that cannot be written, 4 training failure, 5 network failure,
 6 checksum mismatch.
@@ -61,10 +62,13 @@ def _learner_spec(args) -> boosters.LearnerSpec:
 
 
 def cmd_train(args) -> int:
-    config = boosters.TrainConfig(args.iterations, LossKind(args.loss),
-                                  _learner_spec(args), _build_variant(args))
+    loss, task = LossKind(args.loss), _task(args.task)
+    if loss.is_classification and task is not Task.CLASSIFICATION:
+        raise InvalidSpecError(f"{loss.value} loss needs --task classification")
+    config = boosters.TrainConfig(args.iterations, loss, _learner_spec(args),
+                                  _build_variant(args))
     try:
-        data = data_io.load_dataset_csv(args.data, _task(args.task))
+        data = data_io.load_dataset_csv(args.data, task)
     except (OSError, data_io.CsvParseError, InvalidInputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
@@ -184,11 +188,7 @@ def cmd_bench(args) -> int:
 def cmd_convergence(args) -> int:
     spec = synthdata.SparseDictionarySpec(args.samples, args.atoms,
                                           args.sparsity, args.coef_norm)
-    try:
-        data, atoms, h_risk, _ = synthdata.gen_sparse_dictionary_instance(spec, args.seed)
-    except InvalidSpecError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_TRAIN
+    data, atoms, h_risk, _ = synthdata.gen_sparse_dictionary_instance(spec, args.seed)
     learner = boosters.DictionaryLearner(atoms)
     variants = {
         "rescale": boosters.Rescale(boosters.ShrinkageSchedule.theorem()),
@@ -255,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, help="rescale schedule 2/(k+u)")
     p.add_argument("--nu", type=float, help="shrunk step factor in (0,1]")
     p.add_argument("--t0", type=float, help="truncated search bound scale")
-    p.add_argument("--t-exponent", type=float, default=2.0 / 3.0)
+    p.add_argument("--t-exponent", type=float, default=2.0 / 3.0,
+                   help="truncated bound t_k = t0 * k^(-exponent); finite and >= 0 "
+                        "(default 2/3)")
     p.add_argument("--eps", type=float, help="epsilon step size")
     p.add_argument("--iterations", "-k", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

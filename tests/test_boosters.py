@@ -16,7 +16,7 @@ from reboost.boosters import (
     train,
 )
 from reboost.core import Dataset, InvalidInputError, InvalidSpecError, Task
-from reboost.losses import LossKind, empirical_risk, neg_gradient_inner, pseudo_residuals
+from reboost.losses import LossKind, empirical_risk, pseudo_residuals
 from reboost.synthdata import SparseDictionarySpec, gen_orange, gen_sparse_dictionary_instance
 
 
@@ -133,7 +133,7 @@ class TestRescaleDynamics:
         for rec, learner in zip(trace.records, model.learners):
             g = learner.evaluate(X)
             preds = (1.0 - rec.alpha) * preds + rec.beta * g
-            assert abs(neg_gradient_inner(LossKind.SQUARED, preds, y, g)) <= 1e-6
+            assert abs(np.mean(pseudo_residuals(LossKind.SQUARED, preds, y) * g)) <= 1e-6
 
     def test_relative_progress(self):
         # risk after the step never exceeds the risk of the rescaled base
@@ -215,6 +215,24 @@ class TestVariants:
             u = pseudo_residuals(LossKind.SQUARED, preds, y)
             assert np.sign(rec.beta) == np.sign(np.mean(u * g))
             preds = preds + rec.beta * g
+
+    def test_epsilon_step_takes_sign_of_residual_inner_product(self):
+        # a least-squares stump or tree always has <r, g> > 0; a dictionary
+        # atom can have either sign, so this path exercises the sign
+        spec = SparseDictionarySpec(64, 16, 4, 4.0)
+        data, atoms, _, _ = gen_sparse_dictionary_instance(spec, 0)
+        eps = 0.1
+        model, trace = train(data, TrainConfig(40, LossKind.SQUARED, DictionaryLearner(atoms),
+                                               Epsilon(eps)), 0)
+        assert len(trace) == 40
+        X, y = data.features, data.targets
+        preds = np.zeros(data.n_samples)
+        for rec, learner in zip(trace.records, model.learners):
+            g = learner.evaluate(X)
+            r = pseudo_residuals(LossKind.SQUARED, preds, y)
+            assert rec.beta == eps * np.sign(r @ g)
+            preds = preds + rec.beta * g
+        assert any(rec.beta < 0.0 for rec in trace.records)
 
 
 class TestDictionaryTraining:

@@ -219,13 +219,40 @@ class TestExitCodes:
         (["--variant", "epsilon"], "--eps is required"),
         (["--iterations", "0"], "max_iterations must be >= 1"),
         (["--learner", "tree", "--splits", "0"], "splits must be >= 1"),
-    ], ids=["shrunk-no-nu", "truncated-no-t0", "epsilon-no-eps", "iterations-0", "splits-0"])
+        (["--loss", "logistic"], "logistic loss needs --task classification"),
+        (["--loss", "exponential"], "exponential loss needs --task classification"),
+        (["--variant", "truncated", "--t0", "inf"], "finite t0 > 0"),
+        (["--variant", "truncated", "--t0", "1", "--t-exponent", "nan"], "exponent = nan"),
+        (["--variant", "truncated", "--t0", "1", "--t-exponent", "inf"], "exponent = inf"),
+        (["--variant", "truncated", "--t0", "1", "--t-exponent=-inf"], "exponent = -inf"),
+        (["--variant", "truncated", "--t0", "1", "--t-exponent=-0.5"], "exponent = -0.5"),
+        (["--variant", "epsilon", "--eps", "inf"], "eps must be positive and finite"),
+        (["--variant", "rescale", "--u", "nan"], "schedule requires"),
+    ], ids=["shrunk-no-nu", "truncated-no-t0", "epsilon-no-eps", "iterations-0", "splits-0",
+            "logistic-regression-task", "exponential-regression-task", "t0-inf",
+            "t-exponent-nan", "t-exponent-inf", "t-exponent-minus-inf", "t-exponent-negative",
+            "eps-inf", "u-nan"])
     def test_train_flag_errors_exit_2(self, tmp_path, capsys, flags, message):
         data = write(tmp_path / "d.csv", "x,y\n0,1.0\n1,2.5\n2,-0.5\n")
         code = main(["train", "--data", data, "--model-out", str(tmp_path / "m.txt"), *flags])
         assert code == EXIT_FLAGS
         assert message in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
+
+    def test_loss_task_mismatch_exits_2_before_reading_data(self, tmp_path, capsys):
+        code = main(["train", "--data", str(tmp_path / "missing.csv"), "--loss", "logistic",
+                     "--model-out", str(tmp_path / "m.txt")])
+        assert code == EXIT_FLAGS
+        assert "needs --task classification" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--samples", "16", "--atoms", "32"], "need n_atoms <= n_samples"),
+        (["--sparsity", "0"], "sparsity must be in [1, n_atoms]"),
+        (["--coef-norm", "0"], "coef_norm must be positive"),
+    ], ids=["atoms-above-samples", "sparsity-0", "coef-norm-0"])
+    def test_convergence_flag_errors_exit_2(self, capsys, flags, message):
+        assert main(["convergence", "--k-max", "4", *flags]) == EXIT_FLAGS
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("k_max", ["0", "-3"])
     @pytest.mark.parametrize("command", [

@@ -3,13 +3,16 @@ import pytest
 
 from reboost import linesearch
 from reboost.core import DegenerateDirectionError, InvalidInputError, UnboundedDescentError
-from reboost.linesearch import (
-    _expand_bracket,
-    _make_objective,
-    line_search,
-    line_search_l2,
+from reboost.linesearch import _expand_bracket, line_search
+from reboost.losses import (
+    LossKind,
+    empirical_risk,
+    loss_derivative,
+    pseudo_residuals,
+    risk_slope,
 )
-from reboost.losses import LossKind, empirical_risk, loss_derivative, neg_gradient_inner
+
+SQUARED = LossKind.SQUARED
 
 
 def golden_oracle(f, lo, hi, tol=1e-12):
@@ -36,14 +39,19 @@ def golden_oracle(f, lo, hi, tol=1e-12):
 
 class TestLineSearchL2:
     def test_constant_shift(self):
-        assert line_search_l2([0.0, 0.0], [1.0, 1.0], [2.0, 2.0]) == pytest.approx(2.0)
+        assert line_search(SQUARED, [0.0, 0.0], [1.0, 1.0], [2.0, 2.0]) == pytest.approx(2.0)
 
     def test_orthogonal_residual(self):
-        assert line_search_l2([0.0, 0.0], [1.0, 1.0], [1.0, -1.0]) == pytest.approx(0.0)
+        assert line_search(SQUARED, [0.0, 0.0], [1.0, 1.0], [1.0, -1.0]) == pytest.approx(0.0)
 
     def test_zero_direction(self):
         with pytest.raises(DegenerateDirectionError):
-            line_search_l2([0.0], [0.0], [1.0])
+            line_search(SQUARED, [0.0], [0.0], [1.0])
+
+    def test_underflowing_direction(self):
+        # every g_i is nonzero, but g.g underflows to 0
+        with pytest.raises(DegenerateDirectionError):
+            line_search(SQUARED, np.zeros(2), np.full(2, 1e-170), np.ones(2))
 
     def test_matches_golden_section_oracle(self):
         rng = np.random.default_rng(0)
@@ -51,8 +59,8 @@ class TestLineSearchL2:
             base = rng.normal(size=25).astype(np.longdouble)
             g = rng.normal(size=25).astype(np.longdouble)
             y = rng.normal(size=25).astype(np.longdouble)
-            beta = line_search_l2(base.astype(float), g.astype(float),
-                                  y.astype(float))
+            beta = line_search(SQUARED, base.astype(float), g.astype(float),
+                               y.astype(float))
             oracle = golden_oracle(
                 lambda b: np.mean((base + b * g - y) ** 2),
                 beta - 10.0, beta + 10.0)
@@ -64,7 +72,7 @@ class TestLineSearchGeneric:
         rng = np.random.default_rng(1)
         base, g, y = rng.normal(size=20), rng.normal(size=20), rng.normal(size=20)
         got = line_search(LossKind.SQUARED, base, g, y)
-        assert got == pytest.approx(line_search_l2(base, g, y), abs=1e-10)
+        assert got == pytest.approx(g @ (y - base) / (g @ g), abs=1e-10)
 
     def test_bound_clamps_convexly(self):
         # unconstrained minimizer 5, bound 0.1 -> returns 0.1
@@ -115,6 +123,14 @@ class TestLineSearchGeneric:
         assert beta == pytest.approx(2e6, rel=1e-9)
         assert relative_slope(kind, base, g, y, beta) <= 1e-9
 
+    @pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.EXPONENTIAL])
+    def test_slow_newton_falls_back_to_bisection(self, kind):
+        # margins 0 and 1000 pulled together at unit rate: inside the bracket
+        # [256, 512] Newton walks toward beta* = 500 by about one unit a step,
+        # so the search must bisect once its Newton budget is spent
+        base, g, y = np.array([0.0, -1000.0]), np.ones(2), np.array([1.0, -1.0])
+        assert line_search(kind, base, g, y) == pytest.approx(500.0, rel=1e-9)
+
     def test_stationary_start_returns_zero(self):
         y = np.array([1.0, -1.0])
         assert line_search(LossKind.LOGISTIC, np.zeros(2), np.ones(2), y) == 0.0
@@ -152,7 +168,7 @@ def relative_slope(kind, base, g, y, beta):
     """|R'(beta)| over the mean magnitude of its terms loss'(f_i) g_i: at an
     exact minimizer, rounding alone leaves this near machine epsilon."""
     scale = np.mean(np.abs(loss_derivative(kind, base + beta * g, y) * g))
-    return abs(neg_gradient_inner(kind, base + beta * g, y, g)) / scale
+    return abs(np.mean(pseudo_residuals(kind, base + beta * g, y) * g)) / scale
 
 
 class TestProperties:
@@ -205,14 +221,14 @@ class TestProperties:
         points = []
 
         def recording(*args):
-            slope = _make_objective(*args)
+            slope = risk_slope(*args)
 
             def at(b):
                 points.append(b)
                 return slope(b)
             return at
 
-        monkeypatch.setattr(linesearch, "_make_objective", recording)
+        monkeypatch.setattr(linesearch, "risk_slope", recording)
         rng = np.random.default_rng(4)
         for _ in range(100):
             points.clear()
@@ -228,7 +244,7 @@ class TestProperties:
         while checked < 100:
             base, g, y = random_instance(rng, LossKind.LOGISTIC)
             try:
-                lo, hi, _ = _expand_bracket(_make_objective(LossKind.LOGISTIC, base, g, y), 60)
+                lo, hi, _ = _expand_bracket(risk_slope(LossKind.LOGISTIC, base, g, y))
             except UnboundedDescentError:
                 continue
             beta = line_search(LossKind.LOGISTIC, base, g, y)

@@ -7,8 +7,8 @@ from reboost.losses import (
     empirical_risk,
     loss_derivative,
     loss_value,
-    neg_gradient_inner,
     pseudo_residuals,
+    risk_slope,
 )
 
 ALL_KINDS = list(LossKind)
@@ -87,40 +87,6 @@ class TestEmpiricalRisk:
             empirical_risk(LossKind.SQUARED, [0.0], [1.0, 2.0])
 
 
-class TestNegGradientInner:
-    def test_squared_example(self):
-        got = neg_gradient_inner(LossKind.SQUARED, [0.0, 0.0], [1.0, 1.0], [1.0, 1.0])
-        assert got == pytest.approx(2.0)
-
-    def test_zero_direction(self):
-        assert neg_gradient_inner(LossKind.LOGISTIC, [0.3, -0.2], [1.0, -1.0],
-                                  [0.0, 0.0]) == 0.0
-
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_matches_directional_finite_difference(self, kind):
-        rng = np.random.default_rng(12)
-        preds = rng.normal(size=10)
-        y = (rng.choice((-1.0, 1.0), size=10) if kind.is_classification
-             else rng.normal(size=10))
-        g = rng.normal(size=10)
-        h = 1e-6
-        fd = -(empirical_risk(kind, preds + h * g, y)
-               - empirical_risk(kind, preds - h * g, y)) / (2.0 * h)
-        got = neg_gradient_inner(kind, preds, y, g)
-        assert got == pytest.approx(fd, rel=1e-6, abs=1e-9)
-
-    def test_linear_in_direction(self):
-        rng = np.random.default_rng(13)
-        preds = rng.normal(size=30)
-        y = rng.choice((-1.0, 1.0), size=30)
-        g1, g2 = rng.normal(size=30), rng.normal(size=30)
-        a, b = 2.5, -1.25
-        lhs = neg_gradient_inner(LossKind.LOGISTIC, preds, y, a * g1 + b * g2)
-        rhs = (a * neg_gradient_inner(LossKind.LOGISTIC, preds, y, g1)
-               + b * neg_gradient_inner(LossKind.LOGISTIC, preds, y, g2))
-        assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
 class TestPseudoResiduals:
     def test_squared(self):
         got = pseudo_residuals(LossKind.SQUARED, [0.0, 0.0], [1.0, -1.0])
@@ -132,3 +98,32 @@ class TestPseudoResiduals:
     def test_logistic_direct_value(self):
         got = pseudo_residuals(LossKind.LOGISTIC, [2.0], [1.0])
         assert got == pytest.approx([1.0 / (1.0 + np.exp(2.0))], rel=1e-12)
+
+
+class TestRiskSlope:
+    @pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.EXPONENTIAL])
+    def test_matches_central_differences(self, kind):
+        # R' against a central difference of the risk, R'' against one of R'
+        rng = np.random.default_rng(14)
+        h = 1e-5
+        for _ in range(50):
+            m = int(rng.integers(5, 40))
+            base, g = rng.normal(size=m), rng.normal(size=m)
+            y = rng.choice((-1.0, 1.0), size=m)
+            slope = risk_slope(kind, base, g, y)
+            for b in rng.uniform(-2.0, 2.0, size=3):
+                d1, d2 = slope(b)
+                fd1 = (empirical_risk(kind, base + (b + h) * g, y)
+                       - empirical_risk(kind, base + (b - h) * g, y)) / (2.0 * h)
+                fd2 = (slope(b + h)[0] - slope(b - h)[0]) / (2.0 * h)
+                assert d1 == pytest.approx(fd1, rel=1e-6, abs=1e-9)
+                assert d2 == pytest.approx(fd2, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.EXPONENTIAL])
+    def test_label_validation(self, kind):
+        with pytest.raises(InvalidInputError, match="labels"):
+            risk_slope(kind, np.zeros(2), np.ones(2), np.array([1.0, 0.5]))
+
+    def test_squared_rejected(self):
+        with pytest.raises(InvalidInputError, match="margin loss"):
+            risk_slope(LossKind.SQUARED, np.zeros(2), np.ones(2), np.ones(2))
