@@ -15,6 +15,7 @@ import numpy as np
 
 from reboost.core import (
     Dataset,
+    DegenerateDirectionError,
     EnsembleModel,
     InvalidInputError,
     InvalidSpecError,
@@ -182,13 +183,31 @@ class _DictionarySelector:
         return self.atoms[idx], self.values[:, idx]
 
 
+def _step(variant: Variant, loss: LossKind, k: int, residuals, base, gvals, y):
+    """(beta_k, trace note) of step k from ``base`` along ``gvals``; raises
+    DegenerateDirectionError when no step makes first-order progress."""
+    if isinstance(variant, Truncated):
+        return line_search(loss, base, gvals, y, variant.bound_at(k)), ""
+    if isinstance(variant, Epsilon):  # fixed step along the descent sign:
+        direction = np.sign(np.mean(residuals * gvals))  # -R'(0), as base = preds
+        if direction == 0.0:
+            raise DegenerateDirectionError("no descent along the direction")
+        return variant.eps * direction, ""
+    try:  # Plain is Shrunk with nu = 1
+        beta, note = line_search(loss, base, gvals, y), ""
+    except UnboundedDescentError as err:  # e.g. exponential loss, separable data
+        beta, note = err.edge, "capped-beta"
+    return (variant.nu * beta if isinstance(variant, Shrunk) else beta), note
+
+
 def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleModel, TrainTrace]:
     """Run the configured boosting variant for up to max_iterations.
 
-    Stops early when the selected direction is identically zero (no
-    first-order progress possible). An unbounded line search is capped at
-    the last bracket edge and noted in the trace. ``seed`` is recorded for
-    provenance; every step of the procedure is deterministic.
+    Stops early when the selected direction is identically zero, or the
+    step search finds it so (no first-order progress possible); the model
+    then stays as it was after the last step. An unbounded line search is
+    capped at the last bracket edge and noted in the trace. ``seed`` is
+    recorded for provenance; every step of the procedure is deterministic.
     """
     if config.loss.is_classification and data.task is not Task.CLASSIFICATION:
         raise InvalidInputError(f"{config.loss.value} loss needs a classification dataset")
@@ -212,27 +231,16 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
             trace.stopped_early = f"degenerate direction at iteration {k}"
             break
 
-        alpha, note = 0.0, ""
-        if isinstance(variant, Rescale):
-            alpha = variant.schedule.alpha(k)
-            model.rescale(alpha)
+        alpha = variant.schedule.alpha(k) if isinstance(variant, Rescale) else 0.0
         base = (1.0 - alpha) * preds
-        if isinstance(variant, Truncated):
-            beta = line_search(config.loss, base, gvals, y, variant.bound_at(k))
-        elif isinstance(variant, Epsilon):  # fixed step along the descent sign:
-            direction = np.sign(np.mean(residuals * gvals))  # -R'(0), as base = preds
-            if direction == 0.0:
-                trace.stopped_early = f"degenerate direction at iteration {k}"
-                break
-            beta = variant.eps * direction
-        else:  # Plain is Shrunk with nu = 1
-            try:
-                beta = line_search(config.loss, base, gvals, y)
-            except UnboundedDescentError as err:  # e.g. exponential loss, separable data
-                beta, note = err.edge, "capped-beta"
-            if isinstance(variant, Shrunk):
-                beta = variant.nu * beta
+        try:
+            beta, note = _step(variant, config.loss, k, residuals, base, gvals, y)
+        except DegenerateDirectionError:  # e.g. a nonzero g whose g.g underflows
+            trace.stopped_early = f"degenerate direction at iteration {k}"
+            break
 
+        if isinstance(variant, Rescale):
+            model.rescale(alpha)
         model.add_term(beta, learner)
         preds = base + beta * gvals
         risk = empirical_risk(config.loss, preds, y)

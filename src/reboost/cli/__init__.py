@@ -1,27 +1,42 @@
 """Command-line surface: train, predict, simulate, bench, convergence, fetch.
 
-Exit codes: 0 success, 2 invalid flags (a variant missing its parameter,
-such as ``--variant shrunk`` without ``--nu``, a ``--k-max`` below 1, or a
-classification loss without ``--task classification``),
-3 data/model parse error, a malformed ``fetch --table`` entry or an output
-file that cannot be written, 4 training failure, 5 network failure,
-6 checksum mismatch.
+Commands raise; ``main`` alone prints the ``error:`` line and picks the
+exit code, from the error's type through ``EXIT_CODES``, or from the phase
+that ``_phase`` tags where one type means different things:
+
+- 0 success
+- 2 the command line: a bad flag value, a variant missing its parameter
+  (``--variant shrunk`` without ``--nu``), a ``--k-max`` below 1, a
+  classification loss without ``--task classification``, an unknown
+  ``fetch --name``
+- 3 an input or output file: a dataset, feature CSV or model file that
+  cannot be read or is malformed, a malformed ``fetch --table`` entry or
+  download, an output file that cannot be written
+- 4 training or tuning
+- 5 network
+- 6 checksum
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 
 from reboost import boosters, harness, synthdata
 from reboost.cli import data_io, fetch, model_io
-from reboost.core import Dataset, InvalidInputError, InvalidSpecError, Task, truncate_predictions
+from reboost.core import (
+    InvalidInputError,
+    InvalidSpecError,
+    Task,
+    TraceRecord,
+    truncate_predictions,
+)
 from reboost.losses import LossKind
-
-log = logging.getLogger("reboost")
 
 EXIT_OK = 0
 EXIT_FLAGS = 2
@@ -30,29 +45,50 @@ EXIT_TRAIN = 4
 EXIT_NETWORK = 5
 EXIT_CHECKSUM = 6
 
+EXIT_CODES = (  # (error types, exit code), for errors no phase has tagged
+    (fetch.NetworkError, EXIT_NETWORK),
+    (fetch.ChecksumError, EXIT_CHECKSUM),
+    ((OSError, data_io.CsvParseError, fetch.TableError, fetch.RawDataError), EXIT_DATA),
+    (harness.TuningError, EXIT_TRAIN),
+    ((InvalidInputError, InvalidSpecError, fetch.UnknownDatasetError), EXIT_FLAGS),
+)
+
+
+@contextlib.contextmanager
+def _phase(code: int, *errors):
+    """Tag ``errors`` raised inside the block with exit ``code``: reading an
+    input file (3) or training (4) turns the library's flag errors into
+    failures of that phase."""
+    try:
+        yield
+    except errors as err:
+        err.exit_code = code
+        raise
+
 
 def _task(name: str) -> Task:
     return Task.CLASSIFICATION if name == "classification" else Task.REGRESSION
 
 
 def _build_variant(args) -> boosters.Variant:
+    """The variant of ``harness.FAMILIES`` at its flag's value; rescale
+    without ``--u`` takes the theorem schedule, truncated ``--t-exponent``."""
     if args.variant == "plain":
         return boosters.Plain()
-    if args.variant == "rescale":
-        if args.u is not None:
-            return boosters.Rescale(boosters.ShrinkageSchedule.experimental(args.u))
+    name, make = harness.FAMILIES[args.variant]
+    value = getattr(args, name)
+    if value is None and args.variant == "rescale":
         return boosters.Rescale(boosters.ShrinkageSchedule.theorem())
-    if args.variant == "shrunk":
-        if args.nu is None:
-            raise InvalidSpecError("--nu is required for the shrunk variant")
-        return boosters.Shrunk(args.nu)
+    if value is None:
+        raise InvalidSpecError(f"--{name} is required for the {args.variant} variant")
     if args.variant == "truncated":
-        if args.t0 is None:
-            raise InvalidSpecError("--t0 is required for the truncated variant")
-        return boosters.Truncated(args.t0, args.t_exponent)
-    if args.eps is None:
-        raise InvalidSpecError("--eps is required for the epsilon variant")
-    return boosters.Epsilon(args.eps)
+        return boosters.Truncated(value, args.t_exponent)
+    return make(value)
+
+
+def _write_records(path, cls, records) -> None:
+    """One CSV row per dataclass record, one column per field of ``cls``."""
+    data_io.write_csv(path, [f.name for f in fields(cls)], map(astuple, records))
 
 
 def _learner_spec(args) -> boosters.LearnerSpec:
@@ -67,19 +103,13 @@ def cmd_train(args) -> int:
         raise InvalidSpecError(f"{loss.value} loss needs --task classification")
     config = boosters.TrainConfig(args.iterations, loss, _learner_spec(args),
                                   _build_variant(args))
-    try:
+    with _phase(EXIT_DATA, InvalidInputError):
         data = data_io.load_dataset_csv(args.data, task)
-    except (OSError, data_io.CsvParseError, InvalidInputError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    try:
+    with _phase(EXIT_TRAIN, InvalidInputError, InvalidSpecError):
         model, trace = boosters.train(data, config, args.seed)
-    except (InvalidInputError, InvalidSpecError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_TRAIN
     model_io.save_model(args.model_out, model, config.loss, data.task, args.seed)
     if args.trace_out:
-        data_io.save_trace_csv(args.trace_out, trace)
+        _write_records(args.trace_out, TraceRecord, trace.records)
     if trace.stopped_early:
         print(f"note: {trace.stopped_early}", file=sys.stderr)
     print(f"trained {len(trace)} iterations, final risk "
@@ -88,22 +118,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    try:
-        model, loss, task, _ = model_io.load_model(args.model)
-    except (OSError, InvalidInputError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        X = data_io.load_feature_matrix(args.data, model.n_features)
-        preds = model.predict(X)
-    except (OSError, data_io.CsvParseError, InvalidInputError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
+    with _phase(EXIT_DATA, InvalidInputError):
+        model = model_io.load_model(args.model)[0]
+        preds = model.predict(data_io.load_feature_matrix(args.data, model.n_features))
     if args.truncate is not None:
         preds = truncate_predictions(preds, args.truncate)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("prediction\n")
-        fh.writelines(f"{p:.17g}\n" for p in preds)
+    data_io.write_csv(args.out, ("prediction",), ([p] for p in preds.tolist()))
     return EXIT_OK
 
 
@@ -134,19 +154,14 @@ def _run_experiment(args, provider, grid, loss, learner) -> int:
     """The shared tail of ``simulate`` and ``bench``: run every method over
     ``args.runs`` seeds, then write and print the report."""
     methods = tuple(args.methods) if args.methods else harness.METHODS
-    try:
-        report = harness.repeat_experiment(provider, methods, grid, loss,
-                                           learner, args.runs, args.seed)
-    except harness.TuningError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_TRAIN
-    if any(r.runs == 0 for r in report.rows):
-        failed = [r.method for r in report.rows if r.runs == 0]
-        print(f"error: every run failed for methods: {failed}", file=sys.stderr)
-        return EXIT_TRAIN
+    report = harness.repeat_experiment(provider, methods, grid, loss,
+                                       learner, args.runs, args.seed)
+    failed = [r.method for r in report.rows if r.runs == 0]
+    if failed:
+        raise harness.TuningError(f"every run failed for methods: {failed}")
     _print_report(report)
     if args.report_out:
-        data_io.save_report_csv(args.report_out, report)
+        _write_records(args.report_out, harness.MethodResult, report.rows)
     return EXIT_OK
 
 
@@ -172,11 +187,8 @@ def cmd_simulate(args) -> int:
 def cmd_bench(args) -> int:
     grid = harness.TuningGrid(k_max=1000 if args.k_max is None else args.k_max)
     task = _task(args.task)
-    try:
+    with _phase(EXIT_DATA, InvalidInputError):
         data = data_io.load_dataset_csv(args.data, task)
-    except (OSError, data_io.CsvParseError, InvalidInputError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
     loss = LossKind.LOGISTIC if task is Task.CLASSIFICATION else LossKind.SQUARED
 
     def provider(seed: int):
@@ -199,41 +211,23 @@ def cmd_convergence(args) -> int:
     rows = []
     for name, variant in variants.items():
         config = boosters.TrainConfig(args.k_max, LossKind.SQUARED, learner, variant)
-        _, trace = boosters.train(data, config, args.seed)
+        with _phase(EXIT_TRAIN, InvalidInputError, InvalidSpecError):
+            _, trace = boosters.train(data, config, args.seed)
         excess = boosters.excess_risk_trace(trace, h_risk)
         try:
             slope = harness.convergence_slope(excess, k_lo, min(k_hi, len(excess)))
         except InvalidInputError:
             slope = float("nan")
         print(f"{name}: iterations={len(excess)} slope={slope:.4f}")
-        rows.extend((name, k + 1, excess[k], slope) for k in range(len(excess)))
+        rows.extend((name, k, e, slope) for k, e in enumerate(excess.tolist(), start=1))
 
     if args.report_out:
-        import csv as _csv
-        with open(args.report_out, "w", encoding="utf-8", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(("method", "k", "excess_risk", "slope"))
-            for name, k, e, s in rows:
-                writer.writerow((name, k, f"{e:.17g}", f"{s:.17g}"))
+        data_io.write_csv(args.report_out, ("method", "k", "excess_risk", "slope"), rows)
     return EXIT_OK
 
 
 def cmd_fetch(args) -> int:
-    try:
-        out = fetch.fetch_dataset(args.name, args.out_dir, args.url, args.table)
-    except fetch.NetworkError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NETWORK
-    except fetch.ChecksumError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CHECKSUM
-    except (OSError, fetch.TableError, fetch.RawDataError) as err:  # table or download
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except KeyError as err:
-        print(f"error: {err.args[0]}", file=sys.stderr)
-        return EXIT_FLAGS
-    print(f"wrote {out}")
+    print(f"wrote {fetch.fetch_dataset(args.name, args.out_dir, args.url, args.table)}")
     return EXIT_OK
 
 
@@ -274,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="reproduce a toy experiment")
     p.add_argument("--experiment", choices=("m1", "m2", "orange"), required=True)
-    p.add_argument("--sigma", type=float, default=0.0, help="noise level (m1/m2)")
+    p.add_argument("--sigma", type=float, default=0.0,
+                   help="noise standard deviation (m1/m2), finite and >= 0")
     p.add_argument("--q", type=int, default=0, help="noise feature count (orange)")
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -317,13 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, InvalidSpecError) as err:
+    except Exception as err:
+        code = getattr(err, "exit_code", None) or next(
+            (code for types, code in EXIT_CODES if isinstance(err, types)), None)
+        if code is None:
+            raise
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_FLAGS
-    except OSError as err:  # an output file that cannot be written
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
+        return code

@@ -1,20 +1,15 @@
 """CSV interchange: reads datasets (header + numeric rows, target last) and
-feature matrices, writes experiment reports (one row per method) and
-per-iteration traces."""
+feature matrices; ``write_csv`` writes every CSV the CLI produces."""
 
 from __future__ import annotations
 
 import csv
 import math
 import warnings
-from dataclasses import fields
 
 import numpy as np
 
-from reboost.core import Dataset, InvalidInputError, Task, TraceRecord
-from reboost.harness import ExperimentReport
-
-REPORT_COLUMNS = ("method", "mean_metric", "stderr", "chosen_params", "chosen_k", "runs")
+from reboost.core import Dataset, InvalidInputError, Task
 
 
 class CsvParseError(ValueError):
@@ -98,25 +93,13 @@ def _is_finite_number(cell: str) -> bool:
         return False
 
 
-def save_report_csv(path, report: ExperimentReport) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows of cells, floats with 17 significant digits
+    (so they parse back exactly), every line ending in a newline."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for row in report.rows:
-            writer.writerow([
-                row.method, f"{row.mean_metric:.17g}", f"{row.stderr:.17g}",
-                row.chosen_params, row.chosen_k, row.runs,
-            ])
-
-
-def save_trace_csv(path, trace) -> None:
-    """Write every ``TraceRecord`` field, one row per iteration."""
-    names = [f.name for f in fields(TraceRecord)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for rec in trace.records:
-            writer.writerow([_cell(getattr(rec, name)) for name in names])
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
 
 
 def _cell(value) -> str:

@@ -22,6 +22,8 @@ import urllib.request
 from importlib import resources
 from pathlib import Path
 
+from reboost.cli.data_io import write_csv
+
 log = logging.getLogger(__name__)
 
 CACHE_ENV = "REBOOST_CACHE_DIR"
@@ -42,6 +44,10 @@ class RawDataError(ValueError):
 class TableError(ValueError):
     """A source table that cannot be parsed, or an entry of it that names
     no url or no known format."""
+
+
+class UnknownDatasetError(ValueError):
+    """A dataset name that the source table has no entry for."""
 
 
 def cache_dir() -> Path:
@@ -95,14 +101,14 @@ def fetch_dataset(name: str, out_dir, url_override: str | None = None,
                   table_path=None) -> Path:
     """Obtain one named dataset and write ``<out_dir>/<name>.csv``.
 
-    Raises NetworkError / ChecksumError; TableError, before any download,
-    when the table or its entry is malformed; RawDataError when the
-    download does not have the layout of its format; KeyError for unknown
-    names.
+    Raises UnknownDatasetError for a name the table has no entry for;
+    TableError, before any download, when the table or its entry is
+    malformed; NetworkError / ChecksumError; RawDataError when the
+    download does not have the layout of its format.
     """
     table = load_source_table(table_path)
-    if name not in table:
-        raise KeyError(f"unknown dataset {name!r}; known: {table.sections()}")
+    if not table.has_section(name):  # DEFAULT is "in" every table, but no section
+        raise UnknownDatasetError(f"unknown dataset {name!r}; known: {table.sections()}")
     entry = table[name]
     where = f"{table_path or 'packaged datasets.cfg'}: entry [{name}]"
     url = url_override or entry.get("url")
@@ -124,10 +130,7 @@ def fetch_dataset(name: str, out_dir, url_override: str | None = None,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{name}.csv"
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(out_path, header, rows)
     return out_path
 
 

@@ -54,7 +54,8 @@ class Dataset:
     Parameters
     ----------
     features : (m, d) array of floats, all finite.
-    targets : (m,) array; for classification every entry must be -1 or +1.
+    targets : (m,) array of floats, all finite; for classification every
+        entry must be -1 or +1.
     task : Task
     """
 
@@ -73,6 +74,8 @@ class Dataset:
             raise InvalidInputError(
                 f"targets length {targ.shape[0]} != rows {feats.shape[0]}"
             )
+        if not np.all(np.isfinite(targ)):
+            raise InvalidInputError("targets contain non-finite values")
         if self.task is Task.CLASSIFICATION and not (np.abs(targ) == 1.0).all():
             raise InvalidInputError("classification targets must be -1 or +1")
         object.__setattr__(self, "features", _readonly(feats))

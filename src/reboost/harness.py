@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +41,15 @@ _NU_GRID = tuple(np.linspace(0.01, 1.0, 20))
 _EPS_GRID = tuple(np.linspace(0.01, 1.0, 20))
 _U_GRID = tuple([1.0] + list(10.0 ** np.linspace(0.0, 6.0, 20))[1:-1] + [1e6])
 _T0_GRID = (0.5, 1.0, 2.0, 4.0)
+
+# family -> (its parameter, the variant at one value of it); the parameter
+# names the CLI flag (--u) and the TuningGrid field of its values (u_grid)
+FAMILIES = {
+    "rescale": ("u", lambda u: Rescale(ShrinkageSchedule.experimental(u))),
+    "shrunk": ("nu", Shrunk),
+    "truncated": ("t0", Truncated),
+    "epsilon": ("eps", Epsilon),
+}
 
 
 class TuningError(RuntimeError):
@@ -168,22 +178,12 @@ def variant_cells(method: str, grid: TuningGrid):
     which makes the first rescale degree exceed 1) fails inside the tuning
     loop and is skipped like any other cell failure.
     """
-    def cell(label, factory, value):
-        return label, (lambda v=value: factory(v))
-
     if method == "plain":
         return [("-", Plain)]
-    if method == "rescale":
-        return [cell(f"u={u:.6g}",
-                     lambda v: Rescale(ShrinkageSchedule.experimental(v)), u)
-                for u in grid.u_grid]
-    if method == "shrunk":
-        return [cell(f"nu={v:.6g}", Shrunk, v) for v in grid.nu_grid]
-    if method == "truncated":
-        return [cell(f"t0={t:.6g}", Truncated, t) for t in grid.t0_grid]
-    if method == "epsilon":
-        return [cell(f"eps={e:.6g}", Epsilon, e) for e in grid.eps_grid]
-    raise InvalidInputError(f"unknown method family {method!r}")
+    if method not in FAMILIES:
+        raise InvalidInputError(f"unknown method family {method!r}")
+    name, make = FAMILIES[method]
+    return [(f"{name}={v:.6g}", partial(make, v)) for v in getattr(grid, f"{name}_grid")]
 
 
 def tune(train_set: Dataset, val_set: Dataset, method: str, grid: TuningGrid,

@@ -74,6 +74,8 @@ def gen_regression(spec: M1Spec | M2Spec, role: str, seed: int) -> Dataset:
         raise InvalidInputError(f"role must be one of {ROLES}")
     if spec.n < 1:
         raise InvalidInputError("need n >= 1")
+    if not 0.0 <= spec.sigma < np.inf:  # NaN fails too
+        raise InvalidInputError(f"sigma must be finite and >= 0, got {spec.sigma}")
     rng = np.random.default_rng(seed)
     X = rng.uniform(-2.0, 2.0, size=(spec.n, spec.d))
     y = m1(X[:, 0]) if isinstance(spec, M1Spec) else m2(X)
@@ -128,8 +130,8 @@ def gen_sparse_dictionary_instance(spec: SparseDictionarySpec, seed: int):
         raise InvalidSpecError(f"need n_atoms <= n_samples, got {n} > {m}")
     if not (1 <= spec.sparsity <= n):
         raise InvalidSpecError("sparsity must be in [1, n_atoms]")
-    if not spec.coef_norm > 0:
-        raise InvalidSpecError("coef_norm must be positive")
+    if not 0 < spec.coef_norm < np.inf:
+        raise InvalidSpecError(f"coef_norm must be positive and finite, got {spec.coef_norm}")
 
     x = (np.arange(m) + 0.5) / m
     edges = np.round(np.linspace(0, m, n + 1)).astype(int)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reboost import boosters
 from reboost.boosters import (
     DictionaryLearner,
     Epsilon,
@@ -15,7 +16,14 @@ from reboost.boosters import (
     excess_risk_trace,
     train,
 )
-from reboost.core import Dataset, InvalidInputError, InvalidSpecError, Task
+from reboost.core import (
+    Dataset,
+    DegenerateDirectionError,
+    InvalidInputError,
+    InvalidSpecError,
+    Task,
+)
+from reboost.linesearch import line_search
 from reboost.losses import LossKind, empirical_risk, pseudo_residuals
 from reboost.synthdata import SparseDictionarySpec, gen_orange, gen_sparse_dictionary_instance
 
@@ -109,6 +117,41 @@ class TestTrainBasics:
         # first stump fits the constant exactly, then no direction remains
         assert trace.stopped_early is not None
         assert len(trace) < 50
+
+    @pytest.mark.parametrize("variant", [Rescale(ShrinkageSchedule.theorem()), Truncated(1.0)],
+                             ids=["rescale", "truncated"])
+    def test_early_stop_on_underflowing_direction(self, variant):
+        # targets near 1e-170: the stump's leaf values are nonzero, so the
+        # selector passes it, but g.g underflows to 0 in the line search
+        X = np.arange(20.0).reshape(-1, 1)
+        data = Dataset(X, 1e-170 * (1.0 + np.arange(20) % 3), Task.REGRESSION)
+        model, trace = train(data, TrainConfig(5, LossKind.SQUARED, StumpLearner(), variant), 0)
+        assert len(trace) == 0
+        assert trace.stopped_early == "degenerate direction at iteration 1"
+        assert np.array_equal(model.predict(X), np.zeros(20))
+
+    def test_stopped_rescale_step_leaves_model_unscaled(self, monkeypatch):
+        # a search that finds the second direction degenerate: the model
+        # must stay f_1, not (1 - alpha_2) f_1
+        calls = []
+
+        def search(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise DegenerateDirectionError("direction is identically zero")
+            return line_search(*args)
+
+        monkeypatch.setattr(boosters, "line_search", search)
+        data = regression_data()
+        cfg = TrainConfig(5, LossKind.SQUARED, StumpLearner(),
+                          Rescale(ShrinkageSchedule.theorem()))
+        model, trace = train(data, cfg, 0)
+        assert len(trace) == 1
+        assert trace.stopped_early == "degenerate direction at iteration 2"
+        first = trace.records[0]
+        assert model.coefs.tolist() == [first.beta]
+        assert empirical_risk(LossKind.SQUARED, model.predict(data.features),
+                              data.targets) == first.risk
 
     def test_determinism(self):
         data = classification_data()

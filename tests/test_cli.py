@@ -1,11 +1,22 @@
 import csv
 import hashlib
+import math
 import zlib
 
 import numpy as np
 import pytest
 
-from reboost.boosters import Rescale, ShrinkageSchedule, StumpLearner, TrainConfig, train
+from reboost import harness
+from reboost.boosters import (
+    DictionaryLearner,
+    Plain,
+    Rescale,
+    ShrinkageSchedule,
+    StumpLearner,
+    TrainConfig,
+    excess_risk_trace,
+    train,
+)
 from reboost.cli import (
     EXIT_CHECKSUM,
     EXIT_DATA,
@@ -16,9 +27,10 @@ from reboost.cli import (
     fetch,
     main,
 )
-from reboost.cli.model_io import model_to_text
+from reboost.cli.model_io import model_from_text, model_to_text
 from reboost.core import Dataset, Task
 from reboost.losses import LossKind
+from reboost.synthdata import SparseDictionarySpec, gen_sparse_dictionary_instance
 
 
 def with_checksum(body_lines):
@@ -148,6 +160,23 @@ class TestTrainTraceCsv:
         assert code == EXIT_DATA
 
 
+class TestTrainUnderflowingDirection:
+    @pytest.mark.parametrize("flags", [
+        ["--variant", "plain"],
+        ["--variant", "rescale"],
+        ["--variant", "shrunk", "--nu", "0.5"],
+        ["--variant", "truncated", "--t0", "1"],
+    ], ids=["plain", "rescale", "shrunk", "truncated"])
+    def test_stops_early_with_note(self, tmp_path, capsys, flags):
+        # targets near 1e-170: the squared line search finds g.g = 0
+        rows = "".join(f"{i},{1e-170 * (1 + i % 3)!r}\n" for i in range(20))
+        data = write(tmp_path / "d.csv", "x,y\n" + rows)
+        code = main(["train", "--data", data, "--model-out", str(tmp_path / "m.txt"), *flags])
+        assert code == EXIT_OK
+        assert "note: degenerate direction at iteration 1" in capsys.readouterr().err
+        assert (tmp_path / "m.txt").exists()
+
+
 class TestTrainRescaleUOne:
     def test_alpha_one_first_step_trains(self, tmp_path):
         # u = 1 gives alpha_1 = 2/(1+1) = 1, which rescales the zero model
@@ -199,6 +228,11 @@ def toy_table(tmp_path, sha256):
 
 
 class TestExitCodes:
+    def test_default_section_is_an_unknown_dataset(self, tmp_path, cache, capsys):
+        code = main(["fetch", "--name", "DEFAULT", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_FLAGS
+        assert "unknown dataset 'DEFAULT'" in capsys.readouterr().err
+
     def test_unknown_dataset_exits_2(self, tmp_path, cache, capsys):
         code = main(["fetch", "--name", "nosuch", "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_FLAGS
@@ -249,10 +283,28 @@ class TestExitCodes:
         (["--samples", "16", "--atoms", "32"], "need n_atoms <= n_samples"),
         (["--sparsity", "0"], "sparsity must be in [1, n_atoms]"),
         (["--coef-norm", "0"], "coef_norm must be positive"),
-    ], ids=["atoms-above-samples", "sparsity-0", "coef-norm-0"])
+        (["--coef-norm", "inf"], "coef_norm must be positive and finite"),
+    ], ids=["atoms-above-samples", "sparsity-0", "coef-norm-0", "coef-norm-inf"])
     def test_convergence_flag_errors_exit_2(self, capsys, flags, message):
         assert main(["convergence", "--k-max", "4", *flags]) == EXIT_FLAGS
         assert message in capsys.readouterr().err
+
+    def test_every_run_failed_exits_4(self, monkeypatch, capsys):
+        def tune(*args):
+            raise harness.TuningError("every grid cell failed")
+
+        monkeypatch.setattr(harness, "tune", tune)
+        code = main(["simulate", "--experiment", "m2", "--runs", "1", "--k-max", "3",
+                     "--methods", "plain", "shrunk"])
+        assert code == EXIT_TRAIN
+        assert "every run failed for methods: ['plain', 'shrunk']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    def test_simulate_sigma_not_finite_and_non_negative_exits_2(self, capsys, sigma):
+        code = main(["simulate", "--experiment", "m2", f"--sigma={sigma}", "--runs", "1",
+                     "--k-max", "3", "--methods", "plain"])
+        assert code == EXIT_FLAGS
+        assert "sigma must be finite and >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k_max", ["0", "-3"])
     @pytest.mark.parametrize("command", [
@@ -297,3 +349,83 @@ class TestExitCodes:
         assert code == EXIT_OK
         text = (tmp_path / "out" / "toy.csv").read_text(encoding="utf-8")
         assert text.splitlines() == ["a,b,target", "1,2,3", "4,5,6"]
+
+
+def read_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def same_float(cell, value):
+    """A written cell parses back to exactly ``value`` (NaN matches NaN)."""
+    parsed = float(cell)
+    return parsed == value or (math.isnan(parsed) and math.isnan(value))
+
+
+REPORT_HEADER = ["method", "mean_metric", "stderr", "chosen_params", "chosen_k", "runs"]
+
+
+def check_report(path, methods, stdout):
+    rows = read_rows(path)
+    assert rows[0] == REPORT_HEADER
+    assert all(len(row) == len(REPORT_HEADER) for row in rows[1:])
+    assert [row[0] for row in rows[1:]] == methods
+    for row, line in zip(rows[1:], stdout.splitlines()):
+        # the printed summary shows the written mean to 6 significant digits
+        assert f"mean={float(row[1]):.6g} " in line
+        assert row[5] == "1" and int(row[4]) >= 1
+
+
+class TestWrittenCsv:
+    def test_predictions_parse_back_to_model_predict(self, tmp_path, model_lines):
+        text = with_checksum(model_lines)
+        X = np.array([[0.5, -1.0], [2.0, 0.25], [-0.3, 0.7], [1e-3, -2.5]])
+        data = "x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in X.tolist())
+        assert predict(tmp_path, text, data) == EXIT_OK
+        rows = read_rows(tmp_path / "out.csv")
+        assert rows[0] == ["prediction"]
+        assert len(rows) == 1 + len(X) and all(len(row) == 1 for row in rows[1:])
+        expected = model_from_text(text)[0].predict(X)
+        assert all(same_float(row[0], p) for row, p in zip(rows[1:], expected))
+
+    def test_simulate_report(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        code = main(["simulate", "--experiment", "m2", "--runs", "1", "--k-max", "3",
+                     "--methods", "plain", "shrunk", "--report-out", str(out)])
+        assert code == EXIT_OK
+        check_report(out, ["plain", "shrunk"], capsys.readouterr().out)
+
+    def test_bench_report(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        lines = "".join(f"{x!r},{2 * x + 0.1 * e!r}\n"
+                        for x, e in zip(rng.uniform(-1, 1, 40).tolist(),
+                                        rng.standard_normal(40).tolist()))
+        data = write(tmp_path / "d.csv", "x,y\n" + lines)
+        out = tmp_path / "report.csv"
+        code = main(["bench", "--data", data, "--task", "regression", "--runs", "1",
+                     "--k-max", "3", "--methods", "rescale", "epsilon",
+                     "--report-out", str(out)])
+        assert code == EXIT_OK
+        check_report(out, ["rescale", "epsilon"], capsys.readouterr().out)
+
+    def test_convergence_curve_parses_back_to_train(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert main(["convergence", "--k-max", "8", "--report-out", str(out)]) == EXIT_OK
+        rows = read_rows(out)
+        assert rows[0] == ["method", "k", "excess_risk", "slope"]
+        assert all(len(row) == 4 for row in rows[1:])
+        data, atoms, h_risk, _ = gen_sparse_dictionary_instance(SparseDictionarySpec(), 0)
+        for name, variant in [("rescale", Rescale(ShrinkageSchedule.theorem())),
+                              ("plain", Plain())]:
+            config = TrainConfig(8, LossKind.SQUARED, DictionaryLearner(atoms), variant)
+            excess = excess_risk_trace(train(data, config, 0)[1], h_risk)
+            mine = [row for row in rows[1:] if row[0] == name]
+            assert [int(row[1]) for row in mine] == list(range(1, len(excess) + 1))
+            assert all(same_float(row[2], e) for row, e in zip(mine, excess))
+            assert len({row[3] for row in mine}) == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_convergence_risk_overflow_exits_4(self, capsys):
+        # coefficients near the float maximum: the squared-loss risk overflows
+        assert main(["convergence", "--coef-norm", "1e308", "--k-max", "4"]) == EXIT_TRAIN
+        assert "non-finite risk" in capsys.readouterr().err

@@ -37,6 +37,12 @@ class TestDataset:
         with pytest.raises(InvalidInputError):
             Dataset([[np.nan, 1.0]], [0.0], Task.REGRESSION)
 
+    def test_rejects_nonfinite_targets(self):
+        with pytest.raises(InvalidInputError, match="targets contain non-finite"):
+            Dataset(np.zeros((3, 1)), [1.0, np.nan, np.inf], Task.REGRESSION)
+        with pytest.raises(InvalidInputError, match="targets contain non-finite"):
+            Dataset(np.zeros((2, 1)), [1.0, -np.inf], Task.REGRESSION)
+
     def test_rejects_bad_labels(self):
         with pytest.raises(InvalidInputError):
             Dataset([[1.0], [2.0]], [1.0, 0.5], Task.CLASSIFICATION)

@@ -54,6 +54,11 @@ class TestGenRegression:
         data = gen_regression(M1Spec(200, 0.6), "test_noiseless", 5)
         assert np.array_equal(data.targets, m1(data.features[:, 0]))
 
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+    def test_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(InvalidInputError, match="sigma must be finite and >= 0"):
+            gen_regression(M2Spec(10, sigma), "train", 0)
+
     def test_sigma_zero_equals_noiseless(self):
         a = gen_regression(M2Spec(100, 0.0), "train", 9)
         b = gen_regression(M2Spec(100, 0.0), "test_noiseless", 9)
@@ -149,3 +154,8 @@ class TestSparseDictionary:
             gen_sparse_dictionary_instance(SparseDictionarySpec(16, 8, 9, 1.0), 0)
         with pytest.raises(InvalidSpecError):
             gen_sparse_dictionary_instance(SparseDictionarySpec(16, 8, 2, 0.0), 0)
+
+    @pytest.mark.parametrize("coef_norm", [np.inf, np.nan])
+    def test_non_finite_coef_norm_rejected(self, coef_norm):
+        with pytest.raises(InvalidSpecError, match="coef_norm must be positive and finite"):
+            gen_sparse_dictionary_instance(SparseDictionarySpec(16, 8, 2, coef_norm), 0)
