@@ -26,7 +26,7 @@ from reboost.core import (
 )
 from reboost.learners import SplitIndex, fit_stump, fit_tree
 from reboost.linesearch import line_search
-from reboost.losses import LossKind, empirical_risk, pseudo_residuals
+from reboost.losses import LossKind, _residuals, _risk
 
 
 @dataclass(frozen=True)
@@ -209,6 +209,8 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
     capped at the last bracket edge and noted in the trace. ``seed`` is
     recorded for provenance; every step of the procedure is deterministic.
     """
+    # this check and the Dataset invariants (finite targets, +-1 labels for
+    # classification) are all that the unchecked loss kernels below need
     if config.loss.is_classification and data.task is not Task.CLASSIFICATION:
         raise InvalidInputError(f"{config.loss.value} loss needs a classification dataset")
 
@@ -225,7 +227,7 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
     variant = config.variant
 
     for k in range(1, config.max_iterations + 1):
-        residuals = pseudo_residuals(config.loss, preds, y)
+        residuals = _residuals(config.loss, preds, y)
         learner, gvals = selector.select(X, residuals)
         if learner is None:
             trace.stopped_early = f"degenerate direction at iteration {k}"
@@ -243,7 +245,7 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
             model.rescale(alpha)
         model.add_term(beta, learner)
         preds = base + beta * gvals
-        risk = empirical_risk(config.loss, preds, y)
+        risk = _risk(config.loss, preds, y)
         trace.append(TraceRecord(k, learner.describe(), float(beta), alpha, risk, note))
 
     return model, trace

@@ -4,12 +4,14 @@ feature matrices; ``write_csv`` writes every CSV the CLI produces."""
 from __future__ import annotations
 
 import csv
+import logging
 import math
-import warnings
 
 import numpy as np
 
 from reboost.core import Dataset, InvalidInputError, Task
+
+log = logging.getLogger(__name__)
 
 
 class CsvParseError(ValueError):
@@ -60,14 +62,14 @@ def load_dataset_csv(path, task: Task) -> Dataset:
     """Read a rectangular numeric CSV: header row, target in the last column.
 
     Classification targets may be {-1, +1} or {0, 1}; a 0/1 column is
-    remapped to -1/+1 with a warning.
+    remapped to -1/+1 and the remap logged as a warning.
     """
     header, table = _read_numeric_csv(path)
     if len(header) < 2:
         raise CsvParseError(f"{path}: need at least one feature and a target column")
     features, targets = table[:, :-1], table[:, -1]
     if task is Task.CLASSIFICATION and set(np.unique(targets)) <= {0.0, 1.0}:
-        warnings.warn(f"{path}: remapping {{0,1}} labels to {{-1,+1}}")
+        log.warning("%s: remapping {0,1} labels to {-1,+1}", path)
         targets = 2.0 * targets - 1.0
     return Dataset(features, targets, task)
 

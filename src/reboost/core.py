@@ -144,6 +144,9 @@ class EnsembleModel:
 
     ``coefs`` holds the effective coefficient of every term: the step it
     was added with times (1 - alpha) of every rescale applied after it.
+    ``predict`` evaluates each distinct learner once: learners are frozen
+    dataclasses, so terms whose learners are equal in value share one
+    evaluation, weighted by the sum of their coefficients.
     """
 
     def __init__(self, n_features: int | None = None, intercept: float = 0.0):
@@ -175,8 +178,11 @@ class EnsembleModel:
             raise InvalidInputError(
                 f"model was fit on {self.n_features} features, got {X.shape[1]}"
             )
+        slots: dict = {}  # each distinct learner -> its slot, in order of first use
+        terms = np.array([slots.setdefault(g, len(slots)) for g in self.learners], dtype=int)
+        coefs = np.bincount(terms, weights=self.coefs, minlength=len(slots))  # sums in term order
         acc = np.zeros(X.shape[0])
-        for coef, learner in zip(self.coefs, self.learners):
+        for coef, learner in zip(coefs, slots):
             acc += coef * learner.evaluate(X)
         return self.intercept + acc
 

@@ -10,6 +10,12 @@ w and phi'' for the derivatives of the risk along a direction.
 All functions are vectorized over numpy arrays and accept scalars. The
 logistic loss is overflow-safe; the exponential loss returns +inf once exp
 would overflow (callers must keep searches out of that region).
+
+Each public function checks its arguments (shapes, and labels in {-1, +1}
+for the margin losses), raising InvalidInputError, and then calls a private
+kernel that checks nothing: ``_loss``, ``_residuals`` or ``_risk``.
+``boosters.train`` checks its dataset and loss once on entry and then calls
+the kernels at every step.
 """
 
 from __future__ import annotations
@@ -36,16 +42,16 @@ class LossKind(enum.Enum):
 _MARGIN_WEIGHT = {LossKind.LOGISTIC: expit, LossKind.EXPONENTIAL: np.exp}
 
 
-def _check_labels(kind: LossKind, y: np.ndarray) -> None:
-    if kind.is_classification and not (np.abs(y) == 1.0).all():
-        raise InvalidInputError(f"{kind.value} loss requires labels in {{-1, +1}}")
-
-
-def loss_value(kind: LossKind, f, y):
-    """Pointwise loss of prediction ``f`` against target ``y``."""
+def _checked(kind: LossKind, f, y) -> tuple[np.ndarray, np.ndarray]:
+    """``f`` and ``y`` as float arrays, once ``y`` holds labels the loss takes."""
     f = np.asarray(f, dtype=float)
     y = np.asarray(y, dtype=float)
-    _check_labels(kind, y)
+    if kind.is_classification and not (np.abs(y) == 1.0).all():
+        raise InvalidInputError(f"{kind.value} loss requires labels in {{-1, +1}}")
+    return f, y
+
+
+def _loss(kind: LossKind, f: np.ndarray, y: np.ndarray) -> np.ndarray:
     if kind is LossKind.SQUARED:
         return (f - y) ** 2
     if kind is LossKind.LOGISTIC:
@@ -55,33 +61,43 @@ def loss_value(kind: LossKind, f, y):
         return np.exp(-y * f)
 
 
+def _residuals(kind: LossKind, f: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """-d/df of the pointwise loss: y w(y f) for the margin losses."""
+    if kind is LossKind.SQUARED:
+        return -2.0 * (f - y)  # -0 where f = y, as -(2 (f - y)); 2 (y - f) gives +0
+    with np.errstate(over="ignore"):
+        return y * _MARGIN_WEIGHT[kind](-y * f)
+
+
+def _risk(kind: LossKind, f: np.ndarray, y: np.ndarray) -> float:
+    v = _loss(kind, f, y)
+    return float(np.add.reduce(v) / v.size)  # np.mean(v) bit for bit, without its overhead
+
+
+def loss_value(kind: LossKind, f, y):
+    """Pointwise loss of prediction ``f`` against target ``y``."""
+    return _loss(kind, *_checked(kind, f, y))
+
+
 def loss_derivative(kind: LossKind, f, y):
     """d/df of the pointwise loss: -y w(y f) for the margin losses."""
-    f = np.asarray(f, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _check_labels(kind, y)
-    if kind is LossKind.SQUARED:
-        return 2.0 * (f - y)
-    with np.errstate(over="ignore"):
-        return -y * _MARGIN_WEIGHT[kind](-y * f)
+    return -_residuals(kind, *_checked(kind, f, y))
 
 
 def empirical_risk(kind: LossKind, preds, targets) -> float:
     """Mean pointwise loss over the sample."""
-    preds = np.asarray(preds, dtype=float)
-    targets = np.asarray(targets, dtype=float)
+    preds, targets = _checked(kind, preds, targets)
     if preds.shape != targets.shape or preds.size < 1:
         raise InvalidInputError("preds and targets must be equal-length, nonempty")
-    return float(np.mean(loss_value(kind, preds, targets)))
+    return _risk(kind, preds, targets)
 
 
 def pseudo_residuals(kind: LossKind, preds, targets) -> np.ndarray:
     """Per-sample negative gradient; the regression target for weak learners."""
-    preds = np.asarray(preds, dtype=float)
-    targets = np.asarray(targets, dtype=float)
+    preds, targets = _checked(kind, preds, targets)
     if preds.shape != targets.shape:
         raise InvalidInputError("preds and targets must have equal lengths")
-    return -loss_derivative(kind, preds, targets)
+    return _residuals(kind, preds, targets)
 
 
 def risk_slope(kind: LossKind, base, g, y):
@@ -95,8 +111,8 @@ def risk_slope(kind: LossKind, base, g, y):
     """
     if kind not in _MARGIN_WEIGHT:
         raise InvalidInputError(f"risk_slope needs a margin loss, got {kind.value}")
-    base, g, y = (np.asarray(a, dtype=float) for a in (base, g, y))
-    _check_labels(kind, y)
+    base, y = _checked(kind, base, y)
+    g = np.asarray(g, dtype=float)
     weight, m = _MARGIN_WEIGHT[kind], y.size
     yb, yg = y * base, y * g
     yg2 = yg * yg

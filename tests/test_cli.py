@@ -186,6 +186,19 @@ class TestTrainRescaleUOne:
         assert code == EXIT_OK
 
 
+class TestTrainZeroOneLabels:
+    def test_remap_is_logged_not_warned(self, tmp_path, caplog, recwarn):
+        data = write(tmp_path / "c.csv", "x,y\n0,0\n1,1\n2,0\n3,1\n")
+        code = main(["train", "--data", data, "--task", "classification",
+                     "--loss", "logistic", "--iterations", "2",
+                     "--model-out", str(tmp_path / "m.txt")])
+        assert code == EXIT_OK
+        remaps = [r for r in caplog.records if "remapping" in r.getMessage()]
+        assert [(r.levelname, r.getMessage()) for r in remaps] == [
+            ("WARNING", f"{data}: remapping {{0,1}} labels to {{-1,+1}}")]
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+
 class TestUnwritableOutput:
     def test_train_model_out_in_missing_directory(self, tmp_path, capsys):
         data = write(tmp_path / "d.csv", "x,y\n0,1.0\n1,2.5\n2,-0.5\n")
@@ -253,6 +266,9 @@ class TestExitCodes:
         (["--variant", "epsilon"], "--eps is required"),
         (["--iterations", "0"], "max_iterations must be >= 1"),
         (["--learner", "tree", "--splits", "0"], "splits must be >= 1"),
+        (["--learner", "tree", "--splits", "-1"], "splits must be >= 1"),
+        (["--splits", "-1"], "splits must be >= 1"),
+        (["--learner", "stump", "--splits", "0"], "splits must be >= 1"),
         (["--loss", "logistic"], "logistic loss needs --task classification"),
         (["--loss", "exponential"], "exponential loss needs --task classification"),
         (["--variant", "truncated", "--t0", "inf"], "finite t0 > 0"),
@@ -263,6 +279,7 @@ class TestExitCodes:
         (["--variant", "epsilon", "--eps", "inf"], "eps must be positive and finite"),
         (["--variant", "rescale", "--u", "nan"], "schedule requires"),
     ], ids=["shrunk-no-nu", "truncated-no-t0", "epsilon-no-eps", "iterations-0", "splits-0",
+            "tree-splits-minus-1", "default-stump-splits-minus-1", "stump-splits-0",
             "logistic-regression-task", "exponential-regression-task", "t0-inf",
             "t-exponent-nan", "t-exponent-inf", "t-exponent-minus-inf", "t-exponent-negative",
             "eps-inf", "u-nan"])

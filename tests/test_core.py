@@ -1,3 +1,6 @@
+import math
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,19 @@ def stump(value_left, value_right=None, feature=0, threshold=0.0):
     if value_right is None:
         value_right = value_left
     return DecisionStump(feature, threshold, value_left, value_right)
+
+
+@dataclass(frozen=True)
+class CountingConstant:
+    """A constant learner that appends its value to ``calls`` when evaluated;
+    ``calls`` takes no part in equality or hashing."""
+
+    value: float
+    calls: list = field(compare=False)
+
+    def evaluate(self, features) -> np.ndarray:
+        self.calls.append(self.value)
+        return np.full(np.atleast_2d(features).shape[0], self.value)
 
 
 def random_model(rng, n_terms=5, n_features=3):
@@ -85,6 +101,25 @@ class TestPredict:
             expected += coef * g.evaluate(X)
         got = model.predict(X)
         assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
+
+    def test_equal_learners_evaluated_once(self):
+        # 50 equal (not identical) copies of one learner, interleaved with
+        # 10 copies of a second, under rescales: one evaluation each
+        rng = np.random.default_rng(3)
+        calls = []
+        model = EnsembleModel(1, intercept=0.7)
+        for i in range(50):
+            model.add_term(rng.normal(), CountingConstant(1.5, calls))
+            if i % 5 == 0:
+                model.add_term(rng.normal(), CountingConstant(-0.25, calls))
+                model.rescale(0.1)
+        got = model.predict(np.zeros((4, 1)))
+        assert calls == [1.5, -0.25]
+        ones = [g.value == 1.5 for g in model.learners]
+        expected = (model.intercept
+                    + math.fsum(c for c, one in zip(model.coefs, ones) if one) * 1.5
+                    + math.fsum(c for c, one in zip(model.coefs, ones) if not one) * -0.25)
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
 class TestRescale:

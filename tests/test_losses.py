@@ -86,6 +86,11 @@ class TestEmpiricalRisk:
         with pytest.raises(InvalidInputError):
             empirical_risk(LossKind.SQUARED, [0.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.EXPONENTIAL])
+    def test_label_validation(self, kind):
+        with pytest.raises(InvalidInputError, match="labels"):
+            empirical_risk(kind, np.zeros(2), np.array([1.0, 0.5]))
+
 
 class TestPseudoResiduals:
     def test_squared(self):
@@ -98,6 +103,15 @@ class TestPseudoResiduals:
     def test_logistic_direct_value(self):
         got = pseudo_residuals(LossKind.LOGISTIC, [2.0], [1.0])
         assert got == pytest.approx([1.0 / (1.0 + np.exp(2.0))], rel=1e-12)
+
+    @pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.EXPONENTIAL])
+    def test_label_validation(self, kind):
+        with pytest.raises(InvalidInputError, match="labels"):
+            pseudo_residuals(kind, np.zeros(2), np.array([1.0, 0.5]))
+
+    def test_length_mismatch(self):
+        with pytest.raises(InvalidInputError, match="equal lengths"):
+            pseudo_residuals(LossKind.SQUARED, [0.0], [1.0, 2.0])
 
 
 class TestRiskSlope:

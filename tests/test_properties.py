@@ -31,6 +31,12 @@ from reboost.core import Dataset, Task
 from reboost.harness import path_predictions
 from reboost.learners import IntervalAtom
 from reboost.losses import LossKind, empirical_risk
+from reboost.synthdata import (
+    M2Spec,
+    SparseDictionarySpec,
+    gen_regression,
+    gen_sparse_dictionary_instance,
+)
 
 VARIANTS = {
     "plain": Plain(),
@@ -102,3 +108,29 @@ def test_full_path_replay_equals_predict(variant, hyp):
     replayed = path_predictions(model, trace, data.features)
     scale = np.max(np.abs(preds), initial=1.0)
     assert np.allclose(replayed, preds, rtol=1e-9, atol=1e-12 * scale)
+
+
+def test_distinct_trees_predict_as_the_per_term_sum():
+    data = gen_regression(M2Spec(200, 0.0), "train", 5)
+    model, _ = train(data, TrainConfig(40, LossKind.SQUARED, TreeLearner(4),
+                                       Rescale(ShrinkageSchedule.theorem())))
+    assert len(set(model.learners)) == len(model) == 40
+    acc = np.zeros(data.n_samples)
+    for coef, tree in zip(model.coefs, model.learners):
+        acc += coef * tree.evaluate(data.features)
+    assert np.array_equal(model.predict(data.features), model.intercept + acc)
+
+
+def test_long_dictionary_path_round_trips_and_matches_its_trace():
+    # 512 re-scale steps over a few distinct atoms: predict sums each
+    # atom's coefficients before evaluating it
+    data, atoms, _, _ = gen_sparse_dictionary_instance(SparseDictionarySpec(), 2)
+    model, trace = train(data, TrainConfig(512, LossKind.SQUARED, DictionaryLearner(atoms),
+                                           Rescale(ShrinkageSchedule.theorem())))
+    assert len(trace) == len(model) == 512 > len(set(model.learners))
+    preds = model.predict(data.features)
+    loaded = model_from_text(model_to_text(model, LossKind.SQUARED, data.task, 2))[0]
+    assert np.array_equal(loaded.predict(data.features), preds)
+    risk = empirical_risk(LossKind.SQUARED, preds, data.targets)
+    zero_risk = empirical_risk(LossKind.SQUARED, np.zeros(data.n_samples), data.targets)
+    assert np.isclose(risk, trace.records[-1].risk, rtol=1e-9, atol=1e-12 * zero_risk)
