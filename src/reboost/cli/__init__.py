@@ -66,6 +66,14 @@ def _phase(code: int, *errors):
         raise
 
 
+def _seed(text: str) -> int:
+    """The type of every ``--seed``: numpy's seeding takes integers >= 0."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _task(name: str) -> Task:
     return Task.CLASSIFICATION if name == "classification" else Task.REGRESSION
 
@@ -256,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 2/3)")
     p.add_argument("--eps", type=float, help="epsilon step size")
     p.add_argument("--iterations", "-k", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--model-out", required=True)
     p.add_argument("--trace-out")
     p.set_defaults(func=cmd_train)
@@ -274,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noise standard deviation (m1/m2), finite and >= 0")
     p.add_argument("--q", type=int, default=0, help="noise feature count (orange)")
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--k-max", type=int,
                    help="iterations per training, >= 1 (default 500 for m1/m2, 1000 for orange)")
     p.add_argument("--methods", nargs="+", choices=harness.METHODS)
@@ -285,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--task", choices=("regression", "classification"), required=True)
     p.add_argument("--runs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--k-max", type=int, help="iterations per training, >= 1 (default 1000)")
     p.add_argument("--methods", nargs="+", choices=harness.METHODS)
     p.add_argument("--report-out")
@@ -298,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparsity", type=int, default=4)
     p.add_argument("--coef-norm", type=float, default=4.0)
     p.add_argument("--k-max", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report-out")
     p.set_defaults(func=cmd_convergence)
 

@@ -27,7 +27,7 @@ class DegenerateDirectionError(RuntimeError):
 class UnboundedDescentError(RuntimeError):
     """Raised when a line search never brackets a minimizer.
 
-    ``edge`` carries the last bracket endpoint reached (signed), which the
+    ``edge`` carries the signed edge of the search, +-2**60, which the
     training driver may use to cap the step.
     """
 
@@ -110,11 +110,9 @@ class TrainTrace:
     stopped_early: str | None = None
 
     def __post_init__(self):
-        for i, rec in enumerate(self.records):
-            if rec.k != i + 1:
-                raise InvalidInputError("trace records must be ordered k=1,2,...")
-            if not np.isfinite(rec.risk):
-                raise InvalidInputError(f"non-finite risk at iteration {rec.k}")
+        records, self.records = self.records, []
+        for rec in records:
+            self.append(rec)
 
     def append(self, rec: TraceRecord) -> None:
         if rec.k != len(self.records) + 1:

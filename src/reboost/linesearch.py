@@ -2,16 +2,18 @@
 
 Squared loss has a closed form, the only loss formula in this module. For
 the logistic and exponential losses R is convex and ``losses.risk_slope``
-gives R' and R''. The search brackets a sign change of R' by doubling a
-probe from beta = 0 on the descent side (``_expand_bracket``), then runs
-safeguarded Newton on R' inside the bracket (``_newton``): the Newton step
-of Friedman's TreeBoost and of XGBoost.
+gives R' and R''. One loop (``_search``) runs safeguarded Newton on R' from
+beta = 0 toward the descent side: the Newton step of Friedman's TreeBoost
+and of XGBoost, first taken from 0. Until R' changes sign the bracket is
+open and each probe at least doubles its distance from 0; once it closes,
+Newton steps that leave the bracket or stop shrinking give way to bisection.
 
-An optional bound t restricts the search to [-t, t]. R is convex, so the
-bounded minimizer is the unbounded one clamped to [-t, t]: squared loss
-clamps its closed form; the other losses return the bound on the descent
-side when R' keeps one sign on [-t, t], and otherwise run the Newton
-search inside that bracket.
+An optional bound t restricts the search to [-t, t]; without one the search
+runs over [-2**60, 2**60]. R is convex, so the bounded minimizer is the
+unbounded one clamped to [-t, t]: squared loss clamps its closed form, and
+the other losses return the bound itself when R' keeps the descent sign up
+to it. An unbounded search that reaches 2**60 so raises
+UnboundedDescentError with that signed edge.
 """
 
 from __future__ import annotations
@@ -25,67 +27,58 @@ from reboost.losses import LossKind, risk_slope
 
 _MAX_STEPS = 100  # steps before the search only bisects; a few suffice
 _TOLERANCE = 1e-10  # on beta, relative to max(1, |beta|)
-_MAX_EXPANSIONS = 60  # doublings of the bracket probe before giving up
+_EDGE = 2.0 ** 60  # the search edge when no bound is given
 
 
-def _expand_bracket(slope):
-    """Walk from beta = 0 along the descent side, doubling the probe from 1,
-    until R' strictly changes sign; return (lo, hi, at_near) with
-    R'(lo) < 0 < R'(hi), where at_near is the (R', R'') pair at the end
-    nearer 0, the point where the Newton search starts. When R'(0) = 0 the
-    bracket is (0, 0).
+def _search(slope, edge: float) -> float:
+    """The minimizer of R over [-edge, edge], walking from beta = 0 along
+    the descent side; 0 when R'(0) = 0, and the signed edge when R' keeps
+    the descent sign up to it.
 
-    The strict test matters: on a separable instance the derivative keeps
-    one sign forever and merely underflows to zero along the flat tail, so
-    no probe ever qualifies and UnboundedDescentError (carrying the last
-    signed probe, +-2**_MAX_EXPANSIONS) is raised once the budget runs out.
+    The bracket's far end stays open until R' is seen strictly past the
+    minimizer. While it is open, a zero R' is the underflowed tail of a
+    separable instance, not a minimizer, and each probe takes the Newton
+    step but goes at least twice as far from 0 as the last one, capped at
+    the edge; with no usable Newton step (R'' = 0) the first probe goes to
+    1, since a jump to the edge would land where exp overflows. Once
+    closed, each step takes the Newton step if it lands strictly inside the
+    bracket and is at most half the step before last, and bisects
+    otherwise: Newton steps that stop shrinking are slow, as where R'
+    behaves like an exponential in beta and Newton moves beta by about the
+    same amount each step. A probe where exp overflowed (R'' = +inf) has
+    no usable Newton step and bisects too. A step within ``_TOLERANCE``
+    ends the search even when it rounds onto the bracket end it started
+    from. After ``_MAX_STEPS`` steps it only bisects.
     """
-    at_near = slope(0.0)
-    if at_near[0] == 0.0:
-        return 0.0, 0.0, at_near
-    sign = 1.0 if at_near[0] < 0.0 else -1.0
-    near, probe = 0.0, sign
-    for _ in range(_MAX_EXPANSIONS + 1):
-        at_probe = slope(probe)
-        if sign * at_probe[0] > 0.0:
-            return (near, probe, at_near) if sign > 0.0 else (probe, near, at_near)
-        near, probe, at_near = probe, 2.0 * probe, at_probe
-    raise UnboundedDescentError(
-        f"no sign change within {_MAX_EXPANSIONS} expansions (edge {near})", near
-    )
-
-
-def _newton(slope, lo: float, hi: float, at_start) -> float:
-    """Safeguarded Newton on R' inside [lo, hi], where R'(lo) < 0 < R'(hi),
-    from beta = 0 clamped into the bracket; ``at_start`` is the
-    (R', R'') pair there.
-
-    Each step moves an end of the bracket to beta by the sign of R'(beta),
-    then takes the Newton step if it lands strictly inside the bracket and
-    bisects otherwise. A step within ``_TOLERANCE`` ends the search even
-    when it rounds onto the bracket end it started from. After
-    ``_MAX_STEPS`` steps it only bisects: where R' behaves like an
-    exponential in beta, Newton moves beta by about the same amount each
-    step and can need hundreds of steps.
-    """
-    b = min(max(0.0, lo), hi)
-    d1, d2 = at_start
+    d1, d2 = slope(0.0)
+    sign = -1.0 if d1 > 0.0 else 1.0  # the descent side; below, x = sign * beta
+    lo, hi, is_open = 0.0, edge, True  # R'(lo) < 0, and R'(hi) > 0 once closed
+    x, d1 = 0.0, sign * d1
+    last = before = math.inf  # the last two step lengths once closed
     for n in range(_MAX_STEPS + 1100):  # 1,100 halvings take any bracket below tiny
-        if d1 < 0.0:
-            lo = b
+        if d1 < 0.0 or d1 == 0.0 and is_open and x > 0.0:
+            lo = x
         elif d1 > 0.0:
-            hi = b
+            hi, is_open = x, False
         else:
-            return b
-        step = b - d1 / d2 if d2 > 0.0 and n < _MAX_STEPS else math.inf
-        tiny = _TOLERANCE * max(1.0, abs(b))
-        if abs(step - b) > tiny and not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        if abs(step - b) <= tiny:
-            return step
-        b = step
-        d1, d2 = slope(b)
-    return b
+            return sign * x
+        if lo == edge:
+            return sign * edge
+        step = x - d1 / d2 if 0.0 < d2 < math.inf and n < _MAX_STEPS else math.nan
+        if is_open:  # with no Newton step, double from 1
+            step = min(max(2.0 * x, 1.0 if math.isnan(step) else step), edge)
+        else:
+            tiny = _TOLERANCE * max(1.0, abs(x))
+            take_newton = lo < step < hi and abs(step - x) <= 0.5 * before
+            if not (abs(step - x) <= tiny or take_newton):
+                step = 0.5 * (lo + hi)
+            if abs(step - x) <= tiny:
+                return sign * step
+            last, before = abs(step - x), last
+        x = step
+        d1, d2 = slope(sign * x)
+        d1 *= sign
+    return sign * x
 
 
 def line_search(kind: LossKind, base_preds, gvals, targets,
@@ -109,13 +102,8 @@ def line_search(kind: LossKind, base_preds, gvals, targets,
         return beta if bound is None else float(min(max(beta, -bound), bound))
     if not np.any(g != 0.0):
         raise DegenerateDirectionError("direction is identically zero")
-    slope = risk_slope(kind, base, g, y)
-    if bound is None:
-        lo, hi, at_start = _expand_bracket(slope)
-    elif slope(bound)[0] <= 0.0:
-        return bound
-    elif slope(-bound)[0] >= 0.0:
-        return -bound
-    else:
-        lo, hi, at_start = -bound, bound, slope(0.0)
-    return _newton(slope, lo, hi, at_start)
+    edge = _EDGE if bound is None else bound
+    beta = _search(risk_slope(kind, base, g, y), edge)
+    if bound is None and abs(beta) == edge:
+        raise UnboundedDescentError(f"R' keeps the descent sign up to the edge {beta}", beta)
+    return beta

@@ -9,7 +9,9 @@ w and phi'' for the derivatives of the risk along a direction.
 
 All functions are vectorized over numpy arrays and accept scalars. The
 logistic loss is overflow-safe; the exponential loss returns +inf once exp
-would overflow (callers must keep searches out of that region).
+would overflow, and R' and R'' from ``risk_slope`` become infinite too. The
+line search reads a probe there as lying past the minimizer and bisects
+back, so callers need not keep searches out of that region.
 
 Each public function checks its arguments (shapes, and labels in {-1, +1}
 for the margin losses), raising InvalidInputError, and then calls a private

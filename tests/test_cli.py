@@ -335,6 +335,26 @@ class TestExitCodes:
         assert main(argv + ["--runs", "1", "--methods", "plain"]) == EXIT_FLAGS
         assert f"k_max must be >= 1, got {k_max}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["train"],
+        ["simulate", "--experiment", "m2", "--runs", "1", "--k-max", "3"],
+        ["bench", "--task", "regression", "--runs", "1", "--k-max", "3"],
+        ["convergence", "--k-max", "4"],
+    ], ids=["train", "simulate", "bench", "convergence"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        # numpy's seeding rejects negative seeds with a ValueError, which
+        # escaped main with exit 1; train exited 0, only recording the seed
+        argv = [*command, "--seed", "-1"]
+        if command[0] in ("train", "bench"):
+            argv += ["--data", write(tmp_path / "d.csv", "x,y\n0,1.0\n1,2.5\n")]
+        if command[0] == "train":
+            argv += ["--model-out", str(tmp_path / "m.txt")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_FLAGS
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
     def test_missing_download_exits_5(self, tmp_path, cache, capsys):
         url = (tmp_path / "missing.data").as_uri()
         code = main(["fetch", "--name", "diabetes", "--url", url,

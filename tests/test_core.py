@@ -247,3 +247,18 @@ class TestTrainTrace:
         t = TrainTrace()
         with pytest.raises(InvalidInputError):
             t.append(TraceRecord(1, "s", 0.1, 0.0, float("inf")))
+
+    @pytest.mark.parametrize("records, message", [
+        ([TraceRecord(2, "s", 0.1, 0.0, 1.0)], "ordered k=1,2"),
+        ([TraceRecord(1, "s", 0.1, 0.0, 1.0), TraceRecord(1, "s", 0.1, 0.0, 1.0)],
+         "ordered k=1,2"),
+        ([TraceRecord(1, "s", 0.1, 0.0, float("nan"))], "non-finite risk at iteration 1"),
+    ], ids=["starts-at-2", "repeats-k", "nan-risk"])
+    def test_constructor_checks_like_append(self, records, message):
+        with pytest.raises(InvalidInputError, match=message):
+            TrainTrace(records)
+
+    def test_constructor_keeps_valid_records(self):
+        records = [TraceRecord(k, "s", 0.1, 0.0, 1.0 / k) for k in (1, 2, 3)]
+        t = TrainTrace(records, stopped_early="done")
+        assert t.records == records and len(t) == 3 and t.stopped_early == "done"
