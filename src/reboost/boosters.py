@@ -1,5 +1,6 @@
 """Training drivers sharing one skeleton: select a weak learner against the
-pseudo-residuals, pick a step size, update the additive model.
+pseudo-residuals, pick a step size, update the predictions. The additive
+model is built once, from the recorded path.
 
 Variants: plain line-search boosting; re-scale boosting (the composite
 estimator is multiplied by (1 - alpha_k) before each line search); shrunken
@@ -205,9 +206,10 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
 
     Stops early when the selected direction is identically zero, or the
     step search finds it so (no first-order progress possible); the model
-    then stays as it was after the last step. An unbounded line search is
-    capped at the last bracket edge and noted in the trace. ``seed`` is
-    recorded for provenance; every step of the procedure is deterministic.
+    is then the one after the last completed step. An unbounded line search
+    is capped at the signed search edge +-2**60 of ``UnboundedDescentError``
+    and noted in the trace. ``seed`` is recorded for provenance; every step
+    of the procedure is deterministic.
     """
     # this check and the Dataset invariants (finite targets, +-1 labels for
     # classification) are all that the unchecked loss kernels below need
@@ -215,9 +217,9 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
         raise InvalidInputError(f"{config.loss.value} loss needs a classification dataset")
 
     X, y = data.features, data.targets
-    model = EnsembleModel(n_features=data.n_features)
     trace = TrainTrace()
-    preds = np.full(data.n_samples, model.intercept)
+    learners = []
+    preds = np.zeros(data.n_samples)
 
     if isinstance(config.learner, DictionaryLearner):
         selector = _DictionarySelector(config.learner.atoms, X)
@@ -241,14 +243,12 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
             trace.stopped_early = f"degenerate direction at iteration {k}"
             break
 
-        if isinstance(variant, Rescale):
-            model.rescale(alpha)
-        model.add_term(beta, learner)
+        learners.append(learner)
         preds = base + beta * gvals
         risk = _risk(config.loss, preds, y)
         trace.append(TraceRecord(k, learner.describe(), float(beta), alpha, risk, note))
 
-    return model, trace
+    return EnsembleModel.from_path(learners, trace, n_features=data.n_features), trace
 
 
 def excess_risk_trace(trace: TrainTrace, reference: float) -> np.ndarray:

@@ -149,17 +149,16 @@ def _parse_model(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
             raise InvalidInputError(f"model file has no {key}= line")
 
     n_features = int(fields["features"])
-    model = EnsembleModel(None if n_features < 0 else n_features,
-                          _finite(fields["intercept"], "intercept"))
     declared = int(fields["terms"])
     if declared != len(term_lines):
         raise InvalidInputError(
             f"model declares {declared} terms but has {len(term_lines)}"
         )
-    for line in term_lines:
-        _, coef_text, payload_text = line.split(" ", 2)
-        payload = _TERM_DECODER.decode(payload_text)
-        model.add_term(_finite(coef_text, "coefficient"), _parse_learner(payload))
+    terms = [line.split(" ", 2)[1:] for line in term_lines]  # (coef, payload) texts
+    model = EnsembleModel(None if n_features < 0 else n_features,
+                          _finite(fields["intercept"], "intercept"),
+                          [_finite(coef, "coefficient") for coef, _ in terms],
+                          [_parse_learner(_TERM_DECODER.decode(p)) for _, p in terms])
 
     loss = LossKind(fields["loss"])
     task = Task(fields["task"])

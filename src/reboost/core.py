@@ -1,7 +1,7 @@
 """Shared domain types: datasets, additive ensemble models, traces, truncation.
 
-The ensemble model stores one flat coefficient per term; re-scaling the
-whole composite estimator multiplies every stored coefficient in place.
+The ensemble model is a value built once: one read-only coefficient per
+term, computed for a recorded path from the path's alphas and betas.
 """
 
 from __future__ import annotations
@@ -140,34 +140,40 @@ class TrainTrace:
 class EnsembleModel:
     """Additive model: intercept + sum(coefs[j] * learners[j](x)).
 
-    ``coefs`` holds the effective coefficient of every term: the step it
-    was added with times (1 - alpha) of every rescale applied after it.
-    ``predict`` evaluates each distinct learner once: learners are frozen
-    dataclasses, so terms whose learners are equal in value share one
-    evaluation, weighted by the sum of their coefficients.
+    A value built once, with read-only ``coefs``. ``predict`` evaluates each
+    distinct learner once: learners are frozen dataclasses, so terms whose
+    learners are equal in value share one evaluation, weighted by the sum
+    of their coefficients.
     """
 
-    def __init__(self, n_features: int | None = None, intercept: float = 0.0):
+    def __init__(self, n_features: int | None, intercept: float, coefs, learners):
         self.n_features = n_features
         self.intercept = float(intercept)
-        self.coefs = np.empty(0)
-        self.learners: list = []
+        self.coefs = _readonly(np.array(coefs, dtype=float))
+        self.learners = tuple(learners)
+        if self.coefs.shape != (len(self.learners),):
+            raise InvalidInputError(f"coefs of shape {self.coefs.shape} for "
+                                    f"{len(self.learners)} learners")
+
+    @classmethod
+    def from_path(cls, learners, trace: TrainTrace, upto: int | None = None,
+                  n_features: int | None = None) -> "EnsembleModel":
+        """The model f_k of the first k = ``upto`` (default: all) steps of the
+        recorded path f_k = (1 - alpha_k) f_{k-1} + beta_k g_k, f_0 = 0, with
+        g_j = ``learners[j - 1]``: term j is beta_j * prod_{i=j+1..k} (1 - alpha_i)."""
+        k = len(trace) if upto is None else upto
+        if not 0 <= k <= len(trace):
+            raise InvalidInputError(f"prefix {k} outside the recorded path of {len(trace)}")
+        alphas = trace.alphas[:k]
+        bad = np.flatnonzero(~((alphas >= 0.0) & (alphas <= 1.0)))  # NaN too
+        if bad.size:
+            raise InvalidInputError(f"alpha_{bad[0] + 1} = {alphas[bad[0]]} outside [0, 1]")
+        keep = np.ones(k)  # term j keeps prod_{i=j+1..k} (1 - alpha_i)
+        keep[:-1] = np.cumprod(1.0 - alphas[:0:-1])[::-1]
+        return cls(n_features, 0.0, trace.betas[:k] * keep, learners[:k])
 
     def __len__(self) -> int:
         return len(self.learners)
-
-    def add_term(self, beta: float, learner) -> None:
-        """Append ``beta * learner`` to the model."""
-        self.coefs = np.concatenate((self.coefs, (float(beta),)))
-        self.learners.append(learner)
-
-    def rescale(self, alpha: float) -> "EnsembleModel":
-        """Multiply the whole current model by (1 - alpha), in place."""
-        if not (0.0 <= alpha <= 1.0):
-            raise InvalidInputError(f"rescale alpha must be in [0, 1], got {alpha}")
-        self.coefs *= 1.0 - alpha
-        self.intercept *= 1.0 - alpha
-        return self
 
     def predict(self, features) -> np.ndarray:
         """Evaluate the model on a feature matrix (one row per sample)."""

@@ -138,37 +138,22 @@ def metric_for_task(task: Task):
     return misclass_rate if task is Task.CLASSIFICATION else rmse
 
 
-def _replay(model: EnsembleModel, trace: TrainTrace, X: np.ndarray, upto: int):
-    """Yield the predictions on ``X`` after each of the first ``upto`` steps
-    of a recorded path, replaying (alpha_k, beta_k, learner_k) once each."""
-    preds = np.zeros(X.shape[0])
-    for rec, learner in zip(trace.records[:upto], model.learners):
-        preds = (1.0 - rec.alpha) * preds + rec.beta * learner.evaluate(X)
-        yield preds
-
-
 def path_predictions(model: EnsembleModel, trace: TrainTrace, features,
                      upto: int | None = None) -> np.ndarray:
-    """Predictions of the length-``upto`` prefix of a recorded boosting path.
-
-    Equivalent to predicting with the model truncated after ``upto`` terms
-    and rescaled as it was at that step, but without rebuilding it.
-    """
-    X = np.atleast_2d(np.asarray(features, dtype=float))
-    k = len(trace) if upto is None else upto
-    if not 0 <= k <= min(len(model), len(trace)):
-        raise InvalidInputError(f"prefix {k} outside the recorded path")
-    preds = np.zeros(X.shape[0])
-    for preds in _replay(model, trace, X, k):
-        pass
-    return preds
+    """Predictions of the length-``upto`` prefix of a recorded boosting path:
+    those of the model ``EnsembleModel.from_path`` builds from those steps."""
+    return EnsembleModel.from_path(model.learners, trace, upto, model.n_features).predict(features)
 
 
 def validation_curve(model: EnsembleModel, trace: TrainTrace, val_set: Dataset) -> np.ndarray:
-    """Validation metric after every iteration of a recorded path."""
+    """Validation metric after every iteration of a recorded path, replayed once."""
     metric = metric_for_task(val_set.task)
-    return np.array([metric(preds, val_set.targets)
-                     for preds in _replay(model, trace, val_set.features, len(trace))])
+    preds = np.zeros(val_set.n_samples)
+    curve = []
+    for rec, learner in zip(trace.records, model.learners):
+        preds = (1.0 - rec.alpha) * preds + rec.beta * learner.evaluate(val_set.features)
+        curve.append(metric(preds, val_set.targets))
+    return np.array(curve)
 
 
 def variant_cells(method: str, grid: TuningGrid):

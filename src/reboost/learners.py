@@ -35,6 +35,10 @@ class DecisionStump:
     left_value: float
     right_value: float
 
+    def __post_init__(self):
+        if self.feature < 0:  # a negative index would read a column from the end
+            raise InvalidInputError(f"stump feature must be >= 0, got {self.feature}")
+
     def evaluate(self, features) -> np.ndarray:
         X = np.atleast_2d(np.asarray(features, dtype=float))
         if self.feature >= X.shape[1]:
@@ -72,14 +76,14 @@ class RegressionTree:
     _max_feature: int = field(init=False, repr=False, compare=False, default=-1)
 
     def __post_init__(self):
-        internal = [n for n in self.nodes if not n.is_leaf]
-        object.__setattr__(
-            self, "_max_feature",
-            max((n.feature for n in internal), default=-1),
-        )
-        for n in internal:
-            if not (0 <= n.left < len(self.nodes) and 0 <= n.right < len(self.nodes)):
-                raise InvalidInputError("tree child index out of range")
+        size = len(self.nodes)  # children follow their parent, so every walk ends
+        if not size:
+            raise InvalidInputError("tree has no nodes")
+        for i, n in enumerate(self.nodes):
+            if n.feature < -1 or not (n.is_leaf or i < n.left < size and i < n.right < size):
+                raise InvalidInputError(f"tree node {i} is neither a leaf (feature -1) nor a "
+                                        "split on a feature >= 0 whose children follow it")
+        object.__setattr__(self, "_max_feature", max(n.feature for n in self.nodes))
 
     def evaluate(self, features) -> np.ndarray:
         X = np.atleast_2d(np.asarray(features, dtype=float))
@@ -112,6 +116,10 @@ class IntervalAtom:
     high: float
     value: float
     feature: int = 0
+
+    def __post_init__(self):
+        if self.feature < 0:
+            raise InvalidInputError(f"atom feature must be >= 0, got {self.feature}")
 
     def evaluate(self, features) -> np.ndarray:
         X = np.atleast_2d(np.asarray(features, dtype=float))

@@ -86,11 +86,11 @@ def line_search(kind: LossKind, base_preds, gvals, targets,
     """Minimize the empirical risk along ``gvals`` from ``base_preds``.
 
     With ``bound`` = t the result is the minimizer over [-t, t]: by
-    convexity, the unbounded minimizer clamped to [-t, t]. A bound that is
-    not positive (0, negative or NaN) raises InvalidInputError.
+    convexity, the unbounded minimizer clamped to [-t, t]. A bound outside
+    (0, inf), NaN too, raises InvalidInputError.
     """
-    if bound is not None and not bound > 0:
-        raise InvalidInputError(f"bound must be positive when given, got {bound}")
+    if bound is not None and not 0 < bound < np.inf:
+        raise InvalidInputError(f"bound must be positive and finite when given, got {bound}")
     base = np.asarray(base_preds, dtype=float)
     g = np.asarray(gvals, dtype=float)
     y = np.asarray(targets, dtype=float)

@@ -98,6 +98,16 @@ class TestPredictModelErrors:
         assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
 
 
+    @pytest.mark.parametrize("payload", [
+        '{"kind":"tree","splits":1,"nodes":[[0,0.5,0,1,0],[-1,0,-1,-1,2]]}',
+        '{"kind":"stump","feature":-1,"threshold":0.0,"left":1.0,"right":2.0}',
+    ], ids=["cyclic-tree", "negative-feature"])
+    def test_malformed_learner(self, tmp_path, model_lines, payload, capsys):
+        i = next(i for i, ln in enumerate(model_lines) if ln.startswith("term "))
+        lines = model_lines[:i] + [f"term 1 {payload}"] + model_lines[i + 1:]
+        assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
+        assert "error:" in capsys.readouterr().err
+
     def test_non_utf8_model(self, tmp_path, model_lines):
         text = with_checksum(model_lines).encode("utf-8")
         (tmp_path / "model.bin").write_bytes(text.replace(b"seed=", b"\xffseed=", 1))

@@ -35,13 +35,28 @@ class CountingConstant:
         return np.full(np.atleast_2d(features).shape[0], self.value)
 
 
-def random_model(rng, n_terms=5, n_features=3):
-    model = EnsembleModel(n_features)
-    for _ in range(n_terms):
-        model.add_term(rng.normal(), stump(rng.normal(), rng.normal(),
-                                           feature=rng.integers(n_features),
-                                           threshold=rng.normal()))
-    return model
+def random_stump(rng, n_features=3):
+    return stump(rng.normal(), rng.normal(), feature=rng.integers(n_features),
+                 threshold=rng.normal())
+
+
+def path_trace(steps):
+    """The trace of a path with the given (alpha_k, beta_k) per step."""
+    return TrainTrace([TraceRecord(k, "g", beta, alpha, 1.0)
+                       for k, (alpha, beta) in enumerate(steps, 1)])
+
+
+def random_path(rng, n_terms=5, n_features=3):
+    """(learners, trace) of a random path with alpha_k in [0, 0.5)."""
+    learners = [random_stump(rng, n_features) for _ in range(n_terms)]
+    steps = [(0.5 * rng.random(), rng.normal()) for _ in range(n_terms)]
+    return learners, path_trace(steps)
+
+
+def extended(learners, trace, steps):
+    """The path followed by further (alpha, beta, learner) steps."""
+    records = [(r.alpha, r.beta) for r in trace.records] + [(a, b) for a, b, _ in steps]
+    return list(learners) + [g for _, _, g in steps], path_trace(records)
 
 
 class TestDataset:
@@ -75,16 +90,15 @@ class TestDataset:
 
 class TestPredict:
     def test_empty_model_predicts_zero(self):
-        model = EnsembleModel(2)
+        model = EnsembleModel(2, 0.0, [], [])
         assert np.all(model.predict(np.ones((4, 2))) == 0.0)
 
     def test_single_term_linearity(self):
-        model = EnsembleModel(1)
-        model.add_term(2.0, stump(1.0))
+        model = EnsembleModel(1, 0.0, [2.0], [stump(1.0)])
         assert model.predict([[123.0]]) == pytest.approx(2.0)
 
     def test_dimension_mismatch(self):
-        model = EnsembleModel(3)
+        model = EnsembleModel(3, 0.0, [], [])
         with pytest.raises(InvalidInputError):
             model.predict(np.ones((2, 2)))
 
@@ -92,13 +106,12 @@ class TestPredict:
         # three-term model vs step-by-step accumulation on random points
         rng = np.random.default_rng(0)
         X = rng.normal(size=(20, 3))
-        model = EnsembleModel(3)
         terms = [(rng.normal(), stump(rng.normal(), rng.normal(), feature=j))
                  for j in range(3)]
         expected = np.zeros(20)
         for coef, g in terms:
-            model.add_term(coef, g)
             expected += coef * g.evaluate(X)
+        model = EnsembleModel(3, 0.0, [c for c, _ in terms], [g for _, g in terms])
         got = model.predict(X)
         assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
 
@@ -107,12 +120,15 @@ class TestPredict:
         # 10 copies of a second, under rescales: one evaluation each
         rng = np.random.default_rng(3)
         calls = []
-        model = EnsembleModel(1, intercept=0.7)
+        steps, learners = [], []
         for i in range(50):
-            model.add_term(rng.normal(), CountingConstant(1.5, calls))
+            steps.append((0.0, rng.normal()))
+            learners.append(CountingConstant(1.5, calls))
             if i % 5 == 0:
-                model.add_term(rng.normal(), CountingConstant(-0.25, calls))
-                model.rescale(0.1)
+                steps.append((0.1, rng.normal()))
+                learners.append(CountingConstant(-0.25, calls))
+        path = EnsembleModel.from_path(learners, path_trace(steps), n_features=1)
+        model = EnsembleModel(1, 0.7, path.coefs, path.learners)
         got = model.predict(np.zeros((4, 1)))
         assert calls == [1.5, -0.25]
         ones = [g.value == 1.5 for g in model.learners]
@@ -121,96 +137,110 @@ class TestPredict:
                     + math.fsum(c for c, one in zip(model.coefs, ones) if not one) * -0.25)
         assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
+    def test_coefs_are_read_only(self):
+        model = EnsembleModel(1, 0.0, [2.0], [stump(1.0)])
+        with pytest.raises(ValueError):
+            model.coefs[0] = 3.0
+
+    @pytest.mark.parametrize("coefs", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]],
+                             ids=["fewer", "more", "2-d"])
+    def test_coefs_must_match_learners(self, coefs):
+        with pytest.raises(InvalidInputError, match="coefs of shape"):
+            EnsembleModel(1, 0.0, coefs, [stump(1.0), stump(2.0)])
+
 
 class TestRescale:
+    """A step with alpha_k multiplies every earlier term by (1 - alpha_k)."""
+
     def test_alpha_zero_is_identity(self):
         rng = np.random.default_rng(1)
-        model = random_model(rng)
-        X = rng.normal(size=(10, 3))
-        before = model.predict(X)
-        model.rescale(0.0)
-        assert np.array_equal(model.predict(X), before)
+        learners, trace = random_path(rng)
+        before = EnsembleModel.from_path(learners, trace, n_features=3)
+        after = EnsembleModel.from_path(*extended(learners, trace, [(0.0, 2.0, stump(1.0))]),
+                                        n_features=3)
+        assert np.array_equal(after.coefs[:-1], before.coefs)
+        assert after.coefs[-1] == 2.0
 
     def test_constant_model_scales(self):
-        model = EnsembleModel(1)
-        model.add_term(4.0, stump(1.0))
-        model.rescale(0.75)
+        trace = path_trace([(0.0, 4.0), (0.75, 0.0)])
+        model = EnsembleModel.from_path([stump(1.0), stump(5.0)], trace, n_features=1)
         assert model.predict([[0.0]]) == pytest.approx(1.0)
 
     def test_rescale_scales_all_predictions(self):
         rng = np.random.default_rng(2)
-        model = random_model(rng, n_terms=5)
+        learners, trace = random_path(rng)
         X = rng.normal(size=(20, 3))
-        before = model.predict(X)
-        model.rescale(0.3)
-        assert np.allclose(model.predict(X), 0.7 * before, rtol=1e-12)
+        before = EnsembleModel.from_path(learners, trace).predict(X)
+        after = EnsembleModel.from_path(*extended(learners, trace, [(0.3, 0.0, stump(1.0))]))
+        assert np.allclose(after.predict(X), 0.7 * before, rtol=1e-12)
 
     def test_rescale_composition(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(15, 3))
         a, b = 0.2, 0.45
-        m1 = random_model(np.random.default_rng(42))
-        m2 = random_model(np.random.default_rng(42))
-        m1.rescale(a)
-        m1.rescale(b)
-        m2.rescale(1.0 - (1.0 - a) * (1.0 - b))
+        learners, trace = random_path(np.random.default_rng(42))
+        m1 = EnsembleModel.from_path(*extended(learners, trace, [(a, 0.0, stump(1.0)),
+                                                                 (b, 0.0, stump(1.0))]))
+        m2 = EnsembleModel.from_path(*extended(learners, trace, [
+            (1.0 - (1.0 - a) * (1.0 - b), 0.0, stump(1.0))]))
         assert np.allclose(m1.predict(X), m2.predict(X), rtol=1e-12, atol=1e-14)
 
     def test_invalid_alpha(self):
-        model = EnsembleModel(1)
-        for bad in (-0.1, 1.0 + 1e-12, 1.5):
-            with pytest.raises(InvalidInputError):
-                model.rescale(bad)
+        for bad in (-0.1, 1.0 + 1e-12, 1.5, float("nan")):
+            for step in (1, 3):
+                steps = [(0.5, 1.0)] * 3
+                steps[step - 1] = (bad, 1.0)
+                with pytest.raises(InvalidInputError, match=f"alpha_{step} = "):
+                    EnsembleModel.from_path([stump(1.0)] * 3, path_trace(steps))
 
     def test_alpha_one_zeroes_model(self):
         rng = np.random.default_rng(6)
-        model = random_model(rng)
-        model.intercept = 2.5
-        model.rescale(1.0)
-        model.add_term(3.0, stump(1.0))
+        learners, trace = random_path(rng)
+        model = EnsembleModel.from_path(*extended(learners, trace, [(1.0, 3.0, stump(1.0))]),
+                                        n_features=3)
+        assert np.array_equal(model.coefs, [0.0] * len(trace) + [3.0])
         assert np.array_equal(model.predict(rng.normal(size=(10, 3))), np.full(10, 3.0))
 
 
 class TestCoefs:
     def test_no_rescale_keeps_betas(self):
-        model = EnsembleModel(1)
         betas = [1.5, -2.0, 0.25]
-        for b in betas:
-            model.add_term(b, stump(1.0))
+        model = EnsembleModel.from_path([stump(1.0)] * 3, path_trace([(0.0, b) for b in betas]))
         assert np.array_equal(model.coefs, betas)
 
     def test_single_term(self):
-        model = EnsembleModel(1)
-        model.add_term(3.0, stump(1.0))
-        assert model.coefs[0] == 3.0
+        model = EnsembleModel.from_path([stump(1.0)], path_trace([(1.0, 3.0)]))
+        assert model.coefs.tolist() == [3.0] and model.intercept == 0.0
 
     def test_hand_expanded_recursion(self):
         # beta = (1, 1) with a 3/5 rescale in between: coefficients (0.4, 1)
-        model = EnsembleModel(1)
-        model.add_term(1.0, stump(1.0))
-        model.rescale(0.6)
-        model.add_term(1.0, stump(1.0))
+        model = EnsembleModel.from_path([stump(1.0)] * 2, path_trace([(0.0, 1.0), (0.6, 1.0)]))
         assert model.coefs == pytest.approx([0.4, 1.0])
 
     def test_predict_matches_incremental_recursion(self):
         # f_k = (1 - alpha_k) f_{k-1} + beta_k g_k, tracked step by step
         rng = np.random.default_rng(4)
         X = rng.normal(size=(100, 3))
-        model = EnsembleModel(3)
+        steps, learners = [], []
         expected = np.zeros(100)
         for alpha in (0.5, 0.1, 0.0, 0.7, 0.33, 1.0, 0.2):
-            beta, g = rng.normal(), stump(rng.normal(), rng.normal(),
-                                          feature=rng.integers(3), threshold=rng.normal())
-            model.rescale(alpha)
-            model.add_term(beta, g)
+            beta, g = rng.normal(), random_stump(rng)
+            steps.append((alpha, beta))
+            learners.append(g)
             expected = (1.0 - alpha) * expected + beta * g.evaluate(X)
+        model = EnsembleModel.from_path(learners, path_trace(steps), n_features=3)
         assert np.allclose(model.predict(X), expected, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("upto", [-1, 4])
+    def test_prefix_outside_path(self, upto):
+        with pytest.raises(InvalidInputError, match=f"prefix {upto} outside"):
+            EnsembleModel.from_path([stump(1.0)] * 3, path_trace([(0.0, 1.0)] * 3), upto)
+
     def test_many_rescales_predict_finite(self):
-        model = EnsembleModel(1)
-        model.add_term(1.0, stump(1.0))
-        for _ in range(500):
-            model.rescale(1.0 - 1e-2)  # the coefficient shrinks by 100x per call
+        # the first coefficient shrinks by 100x per step, below the smallest double
+        steps = [(0.0, 1.0)] + [(1.0 - 1e-2, 1.0)] * 500
+        model = EnsembleModel.from_path([stump(1.0)] * 501, path_trace(steps), n_features=1)
+        assert model.coefs[0] == 0.0
         assert np.isfinite(model.predict([[0.0]])[0])
 
 

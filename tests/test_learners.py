@@ -166,6 +166,26 @@ class TestEvaluate:
         assert [n.value for n in model.learners[1].nodes] == [0.0, 1.0, -2.0]
         assert np.array_equal(model.predict([[-1.0], [1.0]]), [0.0, -1.0])
 
+    @pytest.mark.parametrize("record, message", [
+        ('{"kind":"tree","splits":1,"nodes":[[0,0.5,0,1,0],[-1,0,-1,-1,2]]}', "node 0 "),
+        ('{"kind":"tree","splits":2,"nodes":'
+         '[[0,0.5,1,2,0],[0,0.5,0,2,0],[-1,0,-1,-1,1]]}', "node 1 "),
+        ('{"kind":"tree","splits":1,"nodes":[[0,0.5,1,5,0],[-1,0,-1,-1,2]]}', "node 0 "),
+        ('{"kind":"tree","splits":0,"nodes":[]}', "no nodes"),
+        ('{"kind":"tree","splits":0,"nodes":[[-2,0,-1,-1,1]]}', "node 0 "),
+        ('{"kind":"stump","feature":-1,"threshold":0.0,"left":1.0,"right":2.0}', "stump feature"),
+        ('{"kind":"atom","feature":-1,"low":0.0,"high":1.0,"value":1.0}', "atom feature"),
+    ], ids=["tree-self-loop", "tree-back-edge", "tree-child-out-of-range", "tree-empty",
+            "tree-feature-below-leaf", "stump-negative-feature", "atom-negative-feature"])
+    def test_malformed_record_rejected_at_load(self, record, message):
+        # a tree child that does not follow its parent could loop forever in
+        # evaluate; a negative feature would read a column from the end
+        body = ("reboost-model 1\nloss=squared\ntask=regression\nfeatures=2\nseed=0\n"
+                f"intercept=0\nterms=1\nterm 1 {record}\n")
+        text = body + f"checksum={zlib.crc32(body.encode('utf-8')) & 0xFFFFFFFF:08x}\n"
+        with pytest.raises(InvalidInputError, match=message):
+            model_from_text(text)
+
     def test_interval_atom(self):
         a = IntervalAtom(0.25, 0.5, 2.0)
         X = np.array([[0.2], [0.25], [0.49], [0.5]])

@@ -162,7 +162,7 @@ class TestLineSearchGeneric:
             line_search(LossKind.LOGISTIC, np.zeros(2), np.zeros(2), np.array([1.0, -1.0]))
 
     @pytest.mark.parametrize("kind", list(LossKind))
-    @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan"), float("inf")])
     def test_non_positive_bound_rejected(self, kind, bound):
         y = np.array([1.0, -1.0, 1.0])
         with pytest.raises(InvalidInputError, match="bound"):

@@ -27,7 +27,7 @@ from reboost.boosters import (
     train,
 )
 from reboost.cli.model_io import model_from_text, model_to_text
-from reboost.core import Dataset, Task
+from reboost.core import Dataset, EnsembleModel, InvalidInputError, Task
 from reboost.harness import path_predictions
 from reboost.learners import IntervalAtom
 from reboost.losses import LossKind, empirical_risk
@@ -108,6 +108,28 @@ def test_full_path_replay_equals_predict(variant, hyp):
     replayed = path_predictions(model, trace, data.features)
     scale = np.max(np.abs(preds), initial=1.0)
     assert np.allclose(replayed, preds, rtol=1e-9, atol=1e-12 * scale)
+
+
+@every_variant
+@settings(max_examples=25, deadline=None)
+@given(hyp=st.data())
+def test_every_prefix_predicts_as_the_replay(variant, hyp):
+    # the replay f_k = (1 - alpha_k) f_{k-1} + beta_k g_k that validation_curve
+    # scores; reassociation may move each prediction by a few ulps of the
+    # largest prediction along the path so far
+    data, _, model, trace = hyp.draw(trained_runs(variant))
+    X = data.features
+    replay = np.zeros(data.n_samples)
+    assert np.array_equal(path_predictions(model, trace, X, 0), replay)
+    scale = 1.0
+    for k, (rec, learner) in enumerate(zip(trace.records, model.learners), 1):
+        replay = (1.0 - rec.alpha) * replay + rec.beta * learner.evaluate(X)
+        scale = max(scale, np.max(np.abs(replay)))
+        assert np.allclose(path_predictions(model, trace, X, k), replay,
+                           rtol=1e-9, atol=1e-12 * scale)
+    for k in (-1, len(trace) + 1):
+        with pytest.raises(InvalidInputError, match=f"prefix {k} outside the recorded path"):
+            EnsembleModel.from_path(model.learners, trace, k)
 
 
 def test_distinct_trees_predict_as_the_per_term_sum():
