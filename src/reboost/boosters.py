@@ -158,12 +158,12 @@ class _FitSelector:
         self.spec = spec
         self.index = SplitIndex(X)
 
-    def select(self, X: np.ndarray, residuals: np.ndarray):
+    def select(self, residuals: np.ndarray):
         if isinstance(self.spec, StumpLearner):
             learner = fit_stump(self.index, residuals)
         else:
             learner = fit_tree(self.index, residuals, self.spec.splits)
-        gvals = learner.evaluate(X)
+        gvals = learner.evaluate(self.index.X)
         if not np.any(gvals != 0.0):
             return None, None
         return learner, gvals
@@ -176,7 +176,7 @@ class _DictionarySelector:
         self.atoms = atoms
         self.values = np.column_stack([a.evaluate(X) for a in atoms])
 
-    def select(self, X: np.ndarray, residuals: np.ndarray):
+    def select(self, residuals: np.ndarray):
         inner = residuals @ self.values
         idx = int(np.argmax(np.abs(inner)))
         if inner[idx] == 0.0:
@@ -208,8 +208,8 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
     step search finds it so (no first-order progress possible); the model
     is then the one after the last completed step. An unbounded line search
     is capped at the signed search edge +-2**60 of ``UnboundedDescentError``
-    and noted in the trace. ``seed`` is recorded for provenance; every step
-    of the procedure is deterministic.
+    and noted in the trace. Every step is deterministic, so ``seed`` is
+    unused; ``reboost train`` writes its ``--seed`` into the model file.
     """
     # this check and the Dataset invariants (finite targets, +-1 labels for
     # classification) are all that the unchecked loss kernels below need
@@ -230,7 +230,7 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
 
     for k in range(1, config.max_iterations + 1):
         residuals = _residuals(config.loss, preds, y)
-        learner, gvals = selector.select(X, residuals)
+        learner, gvals = selector.select(residuals)
         if learner is None:
             trace.stopped_early = f"degenerate direction at iteration {k}"
             break

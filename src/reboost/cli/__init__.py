@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import logging
 import sys
 from dataclasses import astuple, fields
@@ -83,7 +84,7 @@ def _build_variant(args) -> boosters.Variant:
     without ``--u`` takes the theorem schedule, truncated ``--t-exponent``."""
     if args.variant == "plain":
         return boosters.Plain()
-    name, make = harness.FAMILIES[args.variant]
+    name, make, _ = harness.FAMILIES[args.variant]
     value = getattr(args, name)
     if value is None and args.variant == "rescale":
         return boosters.Rescale(boosters.ShrinkageSchedule.theorem())
@@ -200,10 +201,7 @@ def cmd_bench(args) -> int:
     with _phase(EXIT_DATA, InvalidInputError):
         data = data_io.load_dataset_csv(args.data, task)
     loss = LossKind.LOGISTIC if task is Task.CLASSIFICATION else LossKind.SQUARED
-
-    def provider(seed: int):
-        return harness.split_dataset(data, (0.5, 0.25, 0.25), seed)
-
+    provider = functools.partial(harness.split_dataset, data)
     return _run_experiment(args, provider, grid, loss, boosters.StumpLearner())
 
 

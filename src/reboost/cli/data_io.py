@@ -74,17 +74,16 @@ def load_dataset_csv(path, task: Task) -> Dataset:
     return Dataset(features, targets, task)
 
 
-def load_feature_matrix(path, n_features: int | None) -> np.ndarray:
+def load_feature_matrix(path, n_features: int) -> np.ndarray:
     """Read a features-only CSV, or a dataset CSV whose last column is the
     target (dropped when the width is one more than ``n_features``)."""
     _, X = _read_numeric_csv(path)
-    if n_features is not None:
-        if X.shape[1] == n_features + 1:
-            X = X[:, :-1]
-        elif X.shape[1] != n_features:
-            raise InvalidInputError(
-                f"model expects {n_features} features, file has {X.shape[1]} columns"
-            )
+    if X.shape[1] == n_features + 1:
+        return X[:, :-1]
+    if X.shape[1] != n_features:
+        raise InvalidInputError(
+            f"model expects {n_features} features, file has {X.shape[1]} columns"
+        )
     return X
 
 

@@ -6,6 +6,13 @@ and predictions round-trip exactly. A CRC-32 footer over all preceding
 lines guards against truncation and corruption. A stump or tree record
 may carry a legacy ``scale`` field, which the loader folds into the leaf
 values.
+
+The loader checks every term record: its JSON numbers are finite; stump,
+atom and node ``feature``, tree child indices and ``splits`` are JSON
+integers (not bools); a stump or atom feature is >= 0; each tree node is a
+leaf or a split whose children follow it; and ``splits`` is the count of
+split nodes. It also needs ``features=`` >= 1. Violations raise
+``InvalidInputError``.
 """
 
 from __future__ import annotations
@@ -49,22 +56,33 @@ def _term_line(coef: float, learner) -> str:
     return f"term {_fmt(coef)} {json.dumps(payload, separators=(',', ':'))}"
 
 
+def _int(value, what: str) -> int:
+    """A record field that must be a JSON integer: not a float, not a bool."""
+    if type(value) is not int:
+        raise InvalidInputError(f"model record {what} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_learner(payload: dict):
     kind = payload.get("kind")
     scale = float(payload.get("scale", 1.0))
     if kind == "stump":
-        return DecisionStump(int(payload["feature"]), float(payload["threshold"]),
+        return DecisionStump(_int(payload["feature"], "feature"), float(payload["threshold"]),
                              scale * float(payload["left"]),
                              scale * float(payload["right"]))
     if kind == "tree":
-        nodes = tuple(
-            TreeNode(int(f), float(t), int(l), int(r), scale * float(v))
+        tree = RegressionTree(tuple(
+            TreeNode(_int(f, "node feature"), float(t), _int(l, "node child"),
+                     _int(r, "node child"), scale * float(v))
             for f, t, l, r, v in payload["nodes"]
-        )
-        return RegressionTree(nodes=nodes, splits=int(payload["splits"]))
+        ))
+        if _int(payload["splits"], "splits") != tree.splits:
+            raise InvalidInputError(f"tree record says {payload['splits']} splits, "
+                                    f"its nodes hold {tree.splits}")
+        return tree
     if kind == "atom":
         return IntervalAtom(float(payload["low"]), float(payload["high"]),
-                            float(payload["value"]), feature=int(payload["feature"]))
+                            float(payload["value"]), feature=_int(payload["feature"], "feature"))
     raise InvalidInputError(f"unknown learner kind {kind!r}")
 
 
@@ -73,7 +91,7 @@ def model_to_text(model: EnsembleModel, loss: LossKind, task: Task, seed: int) -
         f"{FORMAT_NAME} {FORMAT_VERSION}",
         f"loss={loss.value}",
         f"task={task.value}",
-        f"features={model.n_features if model.n_features is not None else -1}",
+        f"features={model.n_features}",
         f"seed={seed}",
         f"intercept={_fmt(model.intercept)}",
         f"terms={len(model)}",
@@ -149,14 +167,15 @@ def _parse_model(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
             raise InvalidInputError(f"model file has no {key}= line")
 
     n_features = int(fields["features"])
+    if n_features < 1:
+        raise InvalidInputError(f"model features= must be >= 1, got {n_features}")
     declared = int(fields["terms"])
     if declared != len(term_lines):
         raise InvalidInputError(
             f"model declares {declared} terms but has {len(term_lines)}"
         )
     terms = [line.split(" ", 2)[1:] for line in term_lines]  # (coef, payload) texts
-    model = EnsembleModel(None if n_features < 0 else n_features,
-                          _finite(fields["intercept"], "intercept"),
+    model = EnsembleModel(n_features, _finite(fields["intercept"], "intercept"),
                           [_finite(coef, "coefficient") for coef, _ in terms],
                           [_parse_learner(_TERM_DECODER.decode(p)) for _, p in terms])
 

@@ -146,7 +146,7 @@ class EnsembleModel:
     of their coefficients.
     """
 
-    def __init__(self, n_features: int | None, intercept: float, coefs, learners):
+    def __init__(self, n_features: int, intercept: float, coefs, learners):
         self.n_features = n_features
         self.intercept = float(intercept)
         self.coefs = _readonly(np.array(coefs, dtype=float))
@@ -156,8 +156,8 @@ class EnsembleModel:
                                     f"{len(self.learners)} learners")
 
     @classmethod
-    def from_path(cls, learners, trace: TrainTrace, upto: int | None = None,
-                  n_features: int | None = None) -> "EnsembleModel":
+    def from_path(cls, learners, trace: TrainTrace, upto: int | None = None, *,
+                  n_features: int) -> "EnsembleModel":
         """The model f_k of the first k = ``upto`` (default: all) steps of the
         recorded path f_k = (1 - alpha_k) f_{k-1} + beta_k g_k, f_0 = 0, with
         g_j = ``learners[j - 1]``: term j is beta_j * prod_{i=j+1..k} (1 - alpha_i)."""
@@ -178,7 +178,7 @@ class EnsembleModel:
     def predict(self, features) -> np.ndarray:
         """Evaluate the model on a feature matrix (one row per sample)."""
         X = np.atleast_2d(np.asarray(features, dtype=float))
-        if self.n_features is not None and X.shape[1] != self.n_features:
+        if X.shape[1] != self.n_features:
             raise InvalidInputError(
                 f"model was fit on {self.n_features} features, got {X.shape[1]}"
             )

@@ -37,18 +37,14 @@ log = logging.getLogger(__name__)
 
 METHODS = ("plain", "rescale", "shrunk", "truncated", "epsilon")
 
-_NU_GRID = tuple(np.linspace(0.01, 1.0, 20))
-_EPS_GRID = tuple(np.linspace(0.01, 1.0, 20))
-_U_GRID = tuple([1.0] + list(10.0 ** np.linspace(0.0, 6.0, 20))[1:-1] + [1e6])
-_T0_GRID = (0.5, 1.0, 2.0, 4.0)
-
-# family -> (its parameter, the variant at one value of it); the parameter
-# names the CLI flag (--u) and the TuningGrid field of its values (u_grid)
+# family -> (its parameter, the variant at one value of it, the grid of
+# values the sweep tries); the parameter names the CLI flag (--u)
 FAMILIES = {
-    "rescale": ("u", lambda u: Rescale(ShrinkageSchedule.experimental(u))),
-    "shrunk": ("nu", Shrunk),
-    "truncated": ("t0", Truncated),
-    "epsilon": ("eps", Epsilon),
+    "rescale": ("u", lambda u: Rescale(ShrinkageSchedule.experimental(u)),
+                tuple([1.0] + list(10.0 ** np.linspace(0.0, 6.0, 20))[1:-1] + [1e6])),
+    "shrunk": ("nu", Shrunk, tuple(np.linspace(0.01, 1.0, 20))),
+    "truncated": ("t0", Truncated, (0.5, 1.0, 2.0, 4.0)),
+    "epsilon": ("eps", Epsilon, tuple(np.linspace(0.01, 1.0, 20))),
 }
 
 
@@ -58,10 +54,9 @@ class TuningError(RuntimeError):
 
 @dataclass(frozen=True)
 class TuningGrid:
-    nu_grid: tuple = _NU_GRID
-    eps_grid: tuple = _EPS_GRID
-    u_grid: tuple = _U_GRID
-    t0_grid: tuple = _T0_GRID
+    """The sweep's path length: every cell trains ``k_max`` steps; the
+    values each family tries are its grid in ``FAMILIES``."""
+
     k_max: int = 500
 
     def __post_init__(self):
@@ -82,7 +77,6 @@ class MethodResult:
 @dataclass(frozen=True)
 class ExperimentReport:
     rows: tuple[MethodResult, ...]
-    runs: int
     seeds: tuple[int, ...]
     failures: int = 0
 
@@ -90,20 +84,17 @@ class ExperimentReport:
 @dataclass(frozen=True)
 class TuneResult:
     params: str
-    variant: object
     best_k: int
     val_metric: float
     model: EnsembleModel
     trace: TrainTrace
 
 
-def split_dataset(data: Dataset, ratios, seed: int):
-    """Seeded uniform shuffle, then contiguous (train, val, test) partition."""
-    r = tuple(float(v) for v in ratios)
-    if len(r) != 3 or min(r) <= 0 or abs(sum(r) - 1.0) > 1e-9:
-        raise InvalidInputError("ratios must be three positives summing to 1")
+def split_dataset(data: Dataset, seed: int):
+    """Seeded uniform shuffle, then contiguous (train, val, test) parts of
+    m // 2, m // 4 and the remaining rows."""
     m = data.n_samples
-    n_tr, n_val = int(m * r[0]), int(m * r[1])
+    n_tr, n_val = m // 2, m // 4
     n_te = m - n_tr - n_val
     if min(n_tr, n_val, n_te) < 1:
         raise InvalidInputError(f"a split part would be empty for m={m}")
@@ -142,7 +133,8 @@ def path_predictions(model: EnsembleModel, trace: TrainTrace, features,
                      upto: int | None = None) -> np.ndarray:
     """Predictions of the length-``upto`` prefix of a recorded boosting path:
     those of the model ``EnsembleModel.from_path`` builds from those steps."""
-    return EnsembleModel.from_path(model.learners, trace, upto, model.n_features).predict(features)
+    return EnsembleModel.from_path(model.learners, trace, upto,
+                                   n_features=model.n_features).predict(features)
 
 
 def validation_curve(model: EnsembleModel, trace: TrainTrace, val_set: Dataset) -> np.ndarray:
@@ -156,7 +148,7 @@ def validation_curve(model: EnsembleModel, trace: TrainTrace, val_set: Dataset) 
     return np.array(curve)
 
 
-def variant_cells(method: str, grid: TuningGrid):
+def variant_cells(method: str):
     """(label, variant factory) candidates for one method family.
 
     Factories defer construction so an infeasible cell (e.g. a u below 1,
@@ -167,36 +159,33 @@ def variant_cells(method: str, grid: TuningGrid):
         return [("-", Plain)]
     if method not in FAMILIES:
         raise InvalidInputError(f"unknown method family {method!r}")
-    name, make = FAMILIES[method]
-    return [(f"{name}={v:.6g}", partial(make, v)) for v in getattr(grid, f"{name}_grid")]
+    name, make, values = FAMILIES[method]
+    return [(f"{name}={v:.6g}", partial(make, v)) for v in values]
 
 
 def tune(train_set: Dataset, val_set: Dataset, method: str, grid: TuningGrid,
-         loss, learner, seed: int = 0) -> TuneResult:
+         loss, learner) -> TuneResult:
     """Grid-search one method family; select (cell, k) minimizing the
     validation metric, ties toward smaller k then earlier grid position."""
-    best = None  # ((metric, k, cell_idx), label, variant, model, trace)
-    any_ok = False
-    for idx, (label, make_variant) in enumerate(variant_cells(method, grid)):
+    best = None  # ((metric, k, cell_idx), label, model, trace)
+    for idx, (label, make_variant) in enumerate(variant_cells(method)):
         try:
-            variant = make_variant()
-            config = TrainConfig(grid.k_max, loss, learner, variant)
-            model, trace = train(train_set, config, seed)
+            config = TrainConfig(grid.k_max, loss, learner, make_variant())
+            model, trace = train(train_set, config)
             curve = validation_curve(model, trace, val_set)
             if curve.size == 0:
                 raise InvalidInputError("empty training path")
         except Exception as err:
             log.warning("tuning cell %s %s failed: %s", method, label, err)
             continue
-        any_ok = True
         k_best = int(np.argmin(curve)) + 1
         key = (float(curve[k_best - 1]), k_best, idx)
         if best is None or key < best[0]:
-            best = (key, label, variant, model, trace)
-    if not any_ok:
+            best = (key, label, model, trace)
+    if best is None:
         raise TuningError(f"every grid cell failed for method {method!r}")
-    key, label, variant, model, trace = best
-    return TuneResult(label, variant, key[1], key[0], model, trace)
+    key, label, model, trace = best
+    return TuneResult(label, key[1], key[0], model, trace)
 
 
 def repeat_experiment(provider, methods, grid: TuningGrid, loss, learner,
@@ -219,7 +208,7 @@ def repeat_experiment(provider, methods, grid: TuningGrid, loss, learner,
         metric = metric_for_task(test_set.task)
         for method in methods:
             try:
-                res = tune(train_set, val_set, method, grid, loss, learner, seed)
+                res = tune(train_set, val_set, method, grid, loss, learner)
                 test_preds = path_predictions(res.model, res.trace,
                                               test_set.features, res.best_k)
                 metrics[method].append(metric(test_preds, test_set.targets))
@@ -241,7 +230,7 @@ def repeat_experiment(provider, methods, grid: TuningGrid, loss, learner,
             method, float(vals.mean()), stderr, chosen,
             int(np.median(ks[method])), int(vals.size),
         ))
-    return ExperimentReport(tuple(rows), runs, seeds, failures)
+    return ExperimentReport(tuple(rows), seeds, failures)
 
 
 def convergence_slope(excess, k_lo: int, k_hi: int) -> float:

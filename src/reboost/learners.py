@@ -69,10 +69,11 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class RegressionTree:
-    """Binary regression tree with ``splits`` internal nodes, splits+1 leaves."""
+    """Binary regression tree; ``splits``, its count of internal nodes, is
+    derived from ``nodes`` (a tree built by ``fit_tree`` has splits + 1 leaves)."""
 
     nodes: tuple[TreeNode, ...]
-    splits: int
+    splits: int = field(init=False)
     _max_feature: int = field(init=False, repr=False, compare=False, default=-1)
 
     def __post_init__(self):
@@ -83,6 +84,7 @@ class RegressionTree:
             if n.feature < -1 or not (n.is_leaf or i < n.left < size and i < n.right < size):
                 raise InvalidInputError(f"tree node {i} is neither a leaf (feature -1) nor a "
                                         "split on a feature >= 0 whose children follow it")
+        object.__setattr__(self, "splits", sum(not n.is_leaf for n in self.nodes))
         object.__setattr__(self, "_max_feature", max(n.feature for n in self.nodes))
 
     def evaluate(self, features) -> np.ndarray:
@@ -237,7 +239,7 @@ def _child_slice(side: np.ndarray, rows: np.ndarray, order: np.ndarray,
     return NodeSlice(rows, order, values, values[:, :-1] != values[:, 1:])
 
 
-def _residuals(index: SplitIndex, residuals) -> np.ndarray:
+def _one_residual_per_row(index: SplitIndex, residuals) -> np.ndarray:
     r = np.asarray(residuals, dtype=float).ravel()
     if r.shape[0] != index.n_rows:
         raise InvalidInputError(
@@ -251,7 +253,7 @@ def fit_stump(index: SplitIndex, residuals) -> DecisionStump:
 
     With no valid split (all rows identical) both leaves carry the mean.
     """
-    r = _residuals(index, residuals)
+    r = _one_residual_per_row(index, residuals)
     found = index.best_split(r, index.root)
     if found is None:
         mu = float(r.mean())
@@ -261,6 +263,19 @@ def fit_stump(index: SplitIndex, residuals) -> DecisionStump:
     # leaf means recomputed from the partition masks (not the prefix sums)
     # so they match a direct exhaustive scan bit for bit
     return DecisionStump(j, thr, float(r[left].mean()), float(r[~left].mean()))
+
+
+def _leaf_split(index: SplitIndex, r: np.ndarray, node: NodeSlice):
+    """(SSE reduction, best split, node) of one leaf, or (0.0, None, node)
+    when no split reduces its SSE by more than ``_MIN_GAIN_REL`` of it."""
+    found = index.best_split(r, node)  # None for a one-row leaf too
+    if found is not None:
+        sub_r = r[node.rows]
+        sse = float(np.sum((sub_r - sub_r.mean()) ** 2))
+        reduction = found[0] - sub_r.sum() ** 2 / sub_r.size
+        if reduction > _MIN_GAIN_REL * sse:
+            return float(reduction), found, node
+    return 0.0, None, node
 
 
 def fit_tree(index: SplitIndex, residuals, splits: int) -> RegressionTree:
@@ -274,48 +289,25 @@ def fit_tree(index: SplitIndex, residuals, splits: int) -> RegressionTree:
     """
     if splits < 1:
         raise InvalidInputError(f"splits must be >= 1, got {splits}")
-    r = _residuals(index, residuals)
+    r = _one_residual_per_row(index, residuals)
     if index.n_rows < splits + 1:
         raise InvalidInputError(f"need at least {splits + 1} rows for {splits} splits")
 
     nodes: list[TreeNode] = [TreeNode(value=float(r.mean()))]
-    # per-leaf: node id -> (node slice, best-split tuple or None, sse reduction)
-    pending: dict[int, tuple[NodeSlice, tuple | None, float]] = {}
-
-    def leaf_candidate(node_id: int, node: NodeSlice) -> None:
-        rows = node.rows
-        found = index.best_split(r, node) if rows.size >= 2 else None
+    leaves = {0: _leaf_split(index, r, index.root)}  # leaf id -> _leaf_split of it
+    while True:
+        # max keeps the first largest entry, so the earliest-created leaf wins ties
+        target = max(leaves, key=lambda leaf: leaves[leaf][0])
+        _, found, node = leaves.pop(target)
         if found is None:
-            pending[node_id] = (node, None, 0.0)
-            return
-        sub_r = r[rows]
-        sse = float(np.sum((sub_r - sub_r.mean()) ** 2))
-        reduction = found[0] - sub_r.sum() ** 2 / rows.size
-        if reduction <= _MIN_GAIN_REL * sse:
-            pending[node_id] = (node, None, 0.0)
-        else:
-            pending[node_id] = (node, found, float(reduction))
-
-    leaf_candidate(0, index.root)
-    done = 0
-    while done < splits:
-        target, target_red = -1, 0.0
-        for node_id in pending:  # insertion order: earliest-created leaf wins ties
-            _, found, reduction = pending[node_id]
-            if found is not None and reduction > target_red:
-                target, target_red = node_id, reduction
-        if target < 0:
             break
-        node, found, _ = pending.pop(target)
         _, j, thr, left_mean, right_mean = found
-        left_id, right_id = len(nodes), len(nodes) + 1
-        nodes.append(TreeNode(value=left_mean))
-        nodes.append(TreeNode(value=right_mean))
-        nodes[target] = TreeNode(feature=j, threshold=thr, left=left_id, right=right_id)
-        done += 1
-        if done < splits:  # no split follows the last, so its children go unsearched
-            left, right = index.partition(node, j, thr)
-            leaf_candidate(left_id, left)
-            leaf_candidate(right_id, right)
+        left_id = len(nodes)
+        nodes[target] = TreeNode(feature=j, threshold=thr, left=left_id, right=left_id + 1)
+        nodes += (TreeNode(value=left_mean), TreeNode(value=right_mean))
+        if len(nodes) == 2 * splits + 1:  # the last split: its children go unsearched
+            break
+        for child_id, child in enumerate(index.partition(node, j, thr), start=left_id):
+            leaves[child_id] = _leaf_split(index, r, child)
 
-    return RegressionTree(nodes=tuple(nodes), splits=done)
+    return RegressionTree(tuple(nodes))

@@ -6,6 +6,7 @@ instance used to measure the numerical convergence rate empirically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,7 +22,7 @@ class M1Spec:
 
     n: int
     sigma: float
-    d: int = 1
+    d: ClassVar[int] = 1  # m1 reads column 0 only
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ class M2Spec:
 
     n: int
     sigma: float
-    d: int = 10
+    d: ClassVar[int] = 10  # m2 takes exactly 10 coordinates
 
 
 @dataclass(frozen=True)

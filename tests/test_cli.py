@@ -68,6 +68,13 @@ class TestPredictModelErrors:
         assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
         assert "features=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_feature_count_below_one(self, tmp_path, model_lines, count, capsys):
+        lines = [f"features={count}" if ln.startswith("features=") else ln
+                 for ln in model_lines]
+        assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
+        assert f"features= must be >= 1, got {count}" in capsys.readouterr().err
+
     def test_bad_term_json(self, tmp_path, model_lines):
         lines = [ln + "}" if ln.startswith("term ") else ln for ln in model_lines]
         assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
@@ -101,7 +108,9 @@ class TestPredictModelErrors:
     @pytest.mark.parametrize("payload", [
         '{"kind":"tree","splits":1,"nodes":[[0,0.5,0,1,0],[-1,0,-1,-1,2]]}',
         '{"kind":"stump","feature":-1,"threshold":0.0,"left":1.0,"right":2.0}',
-    ], ids=["cyclic-tree", "negative-feature"])
+        '{"kind":"stump","feature":1.9,"threshold":0.0,"left":1.0,"right":2.0}',
+        '{"kind":"tree","splits":7,"nodes":[[0,0.5,1,2,0],[-1,0,-1,-1,1],[-1,0,-1,-1,2]]}',
+    ], ids=["cyclic-tree", "negative-feature", "float-feature", "splits-not-its-node-count"])
     def test_malformed_learner(self, tmp_path, model_lines, payload, capsys):
         i = next(i for i, ln in enumerate(model_lines) if ln.startswith("term "))
         lines = model_lines[:i] + [f"term 1 {payload}"] + model_lines[i + 1:]

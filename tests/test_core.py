@@ -170,8 +170,9 @@ class TestRescale:
         rng = np.random.default_rng(2)
         learners, trace = random_path(rng)
         X = rng.normal(size=(20, 3))
-        before = EnsembleModel.from_path(learners, trace).predict(X)
-        after = EnsembleModel.from_path(*extended(learners, trace, [(0.3, 0.0, stump(1.0))]))
+        before = EnsembleModel.from_path(learners, trace, n_features=3).predict(X)
+        after = EnsembleModel.from_path(*extended(learners, trace, [(0.3, 0.0, stump(1.0))]),
+                                        n_features=3)
         assert np.allclose(after.predict(X), 0.7 * before, rtol=1e-12)
 
     def test_rescale_composition(self):
@@ -180,9 +181,10 @@ class TestRescale:
         a, b = 0.2, 0.45
         learners, trace = random_path(np.random.default_rng(42))
         m1 = EnsembleModel.from_path(*extended(learners, trace, [(a, 0.0, stump(1.0)),
-                                                                 (b, 0.0, stump(1.0))]))
+                                                                 (b, 0.0, stump(1.0))]),
+                                     n_features=3)
         m2 = EnsembleModel.from_path(*extended(learners, trace, [
-            (1.0 - (1.0 - a) * (1.0 - b), 0.0, stump(1.0))]))
+            (1.0 - (1.0 - a) * (1.0 - b), 0.0, stump(1.0))]), n_features=3)
         assert np.allclose(m1.predict(X), m2.predict(X), rtol=1e-12, atol=1e-14)
 
     def test_invalid_alpha(self):
@@ -191,7 +193,7 @@ class TestRescale:
                 steps = [(0.5, 1.0)] * 3
                 steps[step - 1] = (bad, 1.0)
                 with pytest.raises(InvalidInputError, match=f"alpha_{step} = "):
-                    EnsembleModel.from_path([stump(1.0)] * 3, path_trace(steps))
+                    EnsembleModel.from_path([stump(1.0)] * 3, path_trace(steps), n_features=1)
 
     def test_alpha_one_zeroes_model(self):
         rng = np.random.default_rng(6)
@@ -205,16 +207,18 @@ class TestRescale:
 class TestCoefs:
     def test_no_rescale_keeps_betas(self):
         betas = [1.5, -2.0, 0.25]
-        model = EnsembleModel.from_path([stump(1.0)] * 3, path_trace([(0.0, b) for b in betas]))
+        model = EnsembleModel.from_path([stump(1.0)] * 3, path_trace([(0.0, b) for b in betas]),
+                                        n_features=1)
         assert np.array_equal(model.coefs, betas)
 
     def test_single_term(self):
-        model = EnsembleModel.from_path([stump(1.0)], path_trace([(1.0, 3.0)]))
+        model = EnsembleModel.from_path([stump(1.0)], path_trace([(1.0, 3.0)]), n_features=1)
         assert model.coefs.tolist() == [3.0] and model.intercept == 0.0
 
     def test_hand_expanded_recursion(self):
         # beta = (1, 1) with a 3/5 rescale in between: coefficients (0.4, 1)
-        model = EnsembleModel.from_path([stump(1.0)] * 2, path_trace([(0.0, 1.0), (0.6, 1.0)]))
+        model = EnsembleModel.from_path([stump(1.0)] * 2, path_trace([(0.0, 1.0), (0.6, 1.0)]),
+                                        n_features=1)
         assert model.coefs == pytest.approx([0.4, 1.0])
 
     def test_predict_matches_incremental_recursion(self):
@@ -234,7 +238,8 @@ class TestCoefs:
     @pytest.mark.parametrize("upto", [-1, 4])
     def test_prefix_outside_path(self, upto):
         with pytest.raises(InvalidInputError, match=f"prefix {upto} outside"):
-            EnsembleModel.from_path([stump(1.0)] * 3, path_trace([(0.0, 1.0)] * 3), upto)
+            EnsembleModel.from_path([stump(1.0)] * 3, path_trace([(0.0, 1.0)] * 3), upto,
+                                    n_features=1)
 
     def test_many_rescales_predict_finite(self):
         # the first coefficient shrinks by 100x per step, below the smallest double

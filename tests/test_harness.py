@@ -1,4 +1,5 @@
 import logging
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from reboost.boosters import StumpLearner, TrainConfig, Plain, train
 from reboost.core import Dataset, InvalidInputError, Task
 from reboost.harness import (
+    FAMILIES,
     METHODS,
     TuningGrid,
     convergence_slope,
@@ -31,53 +33,54 @@ def toy_dataset(seed=0, m=80):
 
 class TestGrids:
     def test_sizes_and_endpoints(self):
-        grid = TuningGrid()
-        assert len(grid.nu_grid) == 20 and len(grid.eps_grid) == 20
-        assert len(grid.u_grid) == 20
-        assert grid.u_grid[0] == 1.0 and grid.u_grid[-1] == 1e6
-        assert grid.nu_grid[0] == 0.01 and grid.nu_grid[-1] == 1.0
+        grids = {family: values for family, (_, _, values) in FAMILIES.items()}
+        assert len(grids["shrunk"]) == 20 and len(grids["epsilon"]) == 20
+        assert len(grids["rescale"]) == 20
+        assert grids["rescale"][0] == 1.0 and grids["rescale"][-1] == 1e6
+        assert grids["shrunk"][0] == 0.01 and grids["shrunk"][-1] == 1.0
+        assert grids["truncated"] == (0.5, 1.0, 2.0, 4.0)
 
     def test_u_grid_log_spacing(self):
-        grid = TuningGrid()
-        logs = np.log10(grid.u_grid)
+        logs = np.log10(FAMILIES["rescale"][2])
         steps = np.diff(logs)
         assert np.allclose(steps, steps[0], atol=1e-9)
 
     def test_cells_per_family(self):
-        grid = TuningGrid()
-        assert len(variant_cells("plain", grid)) == 1
-        assert len(variant_cells("rescale", grid)) == 20
-        assert len(variant_cells("shrunk", grid)) == 20
-        assert len(variant_cells("epsilon", grid)) == 20
-        assert len(variant_cells("truncated", grid)) == 4
+        assert len(variant_cells("plain")) == 1
+        assert len(variant_cells("rescale")) == 20
+        assert len(variant_cells("shrunk")) == 20
+        assert len(variant_cells("epsilon")) == 20
+        assert len(variant_cells("truncated")) == 4
         with pytest.raises(InvalidInputError):
-            variant_cells("mystery", grid)
+            variant_cells("mystery")
+
+    def test_grid_holds_only_the_path_length(self):
+        assert [f.name for f in fields(TuningGrid)] == ["k_max"]
 
 
 class TestSplitDataset:
     def test_paper_ratio_sizes(self):
         data = toy_dataset(m=100)
-        tr, va, te = split_dataset(data, (0.5, 0.25, 0.25), 0)
+        tr, va, te = split_dataset(data, 0)
         assert (tr.n_samples, va.n_samples, te.n_samples) == (50, 25, 25)
 
     def test_same_seed_same_partition(self):
         data = toy_dataset(m=60)
-        a = split_dataset(data, (0.5, 0.25, 0.25), 9)
-        b = split_dataset(data, (0.5, 0.25, 0.25), 9)
+        a = split_dataset(data, 9)
+        b = split_dataset(data, 9)
         for x, y in zip(a, b):
             assert np.array_equal(x.features, y.features)
 
     def test_union_is_input_multiset(self):
         data = toy_dataset(m=47)
-        parts = split_dataset(data, (0.5, 0.25, 0.25), 3)
+        parts = split_dataset(data, 3)
         rows = np.vstack([p.features for p in parts])
         assert np.array_equal(np.sort(rows[:, 0]), np.sort(data.features[:, 0]))
 
     def test_empty_part_rejected(self):
         with pytest.raises(InvalidInputError):
-            split_dataset(toy_dataset(m=3), (0.5, 0.25, 0.25), 0)
-        with pytest.raises(InvalidInputError):
-            split_dataset(toy_dataset(m=100), (0.9, 0.05, 0.06), 0)
+            split_dataset(toy_dataset(m=3), 0)
+        assert [p.n_samples for p in split_dataset(toy_dataset(m=4), 0)] == [2, 1, 1]
 
 
 class TestMetrics:
@@ -123,7 +126,7 @@ class TestPathPredictions:
 class TestTune:
     def test_single_cell_family(self):
         data = toy_dataset(4, m=120)
-        tr, va, _ = split_dataset(data, (0.5, 0.25, 0.25), 0)
+        tr, va, _ = split_dataset(data, 0)
         grid = TuningGrid(k_max=20)
         res = tune(tr, va, "plain", grid, LossKind.SQUARED, StumpLearner())
         assert res.params == "-"
@@ -132,19 +135,19 @@ class TestTune:
     def test_rescale_grid_has_no_failed_cell(self, caplog):
         # the first cell, u = 1, starts with alpha_1 = 1
         data = toy_dataset(7, m=120)
-        tr, va, _ = split_dataset(data, (0.5, 0.25, 0.25), 3)
+        tr, va, _ = split_dataset(data, 3)
         with caplog.at_level(logging.WARNING, logger="reboost.harness"):
             tune(tr, va, "rescale", TuningGrid(k_max=10), LossKind.SQUARED, StumpLearner())
         assert not [r for r in caplog.records if "failed" in r.getMessage()]
 
     def test_selection_matches_exhaustive_re_evaluation(self):
         data = toy_dataset(5, m=120)
-        tr, va, _ = split_dataset(data, (0.5, 0.25, 0.25), 1)
-        grid = TuningGrid(t0_grid=(0.05, 0.2, 1.0), k_max=15)
+        tr, va, _ = split_dataset(data, 1)
+        grid = TuningGrid(k_max=15)
         res = tune(tr, va, "truncated", grid, LossKind.SQUARED, StumpLearner())
         # independent re-run: train each cell afresh and evaluate prefixes
         best = None
-        for idx, t0 in enumerate(grid.t0_grid):
+        for idx, t0 in enumerate(FAMILIES["truncated"][2]):
             from reboost.boosters import Truncated
             model, trace = train(tr, TrainConfig(15, LossKind.SQUARED,
                                                  StumpLearner(), Truncated(t0)), 0)
@@ -158,11 +161,11 @@ class TestTune:
 
     def test_never_returns_dominated_cell(self):
         data = toy_dataset(6, m=120)
-        tr, va, _ = split_dataset(data, (0.5, 0.25, 0.25), 2)
+        tr, va, _ = split_dataset(data, 2)
         grid = TuningGrid(k_max=10)
         res = tune(tr, va, "shrunk", grid, LossKind.SQUARED, StumpLearner())
         from reboost.boosters import Shrunk
-        for nu in grid.nu_grid:
+        for nu in FAMILIES["shrunk"][2]:
             model, trace = train(tr, TrainConfig(10, LossKind.SQUARED,
                                                  StumpLearner(), Shrunk(nu)), 0)
             curve = validation_curve(model, trace, va)
@@ -173,7 +176,7 @@ class TestRepeatExperiment:
     @staticmethod
     def provider(seed):
         data = toy_dataset(seed, m=90)
-        return split_dataset(data, (0.5, 0.25, 0.25), seed)
+        return split_dataset(data, seed)
 
     def test_single_run_stderr_zero(self):
         rep = repeat_experiment(self.provider, ("plain",), TuningGrid(k_max=10),
@@ -188,7 +191,7 @@ class TestRepeatExperiment:
         per_run = []
         for seed in rep.seeds:
             tr, va, te = self.provider(seed)
-            res = tune(tr, va, "plain", grid, LossKind.SQUARED, StumpLearner(), seed)
+            res = tune(tr, va, "plain", grid, LossKind.SQUARED, StumpLearner())
             preds = path_predictions(res.model, res.trace, te.features, res.best_k)
             per_run.append(rmse(preds, te.targets))
         vals = np.array(per_run)

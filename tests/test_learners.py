@@ -141,7 +141,8 @@ class TestEvaluate:
             dict(feature=1, threshold=0.5, left=5, right=6),
             dict(value=1.0), dict(value=2.0), dict(value=3.0), dict(value=4.0),
         )
-        tree = RegressionTree(nodes=tuple(TreeNode(**n) for n in nodes), splits=3)
+        tree = RegressionTree(nodes=tuple(TreeNode(**n) for n in nodes))
+        assert tree.splits == 3 and tree.describe() == "tree[J3]"
 
         def manual(x):
             if x[0] <= 0.0:
@@ -175,8 +176,29 @@ class TestEvaluate:
         ('{"kind":"tree","splits":0,"nodes":[[-2,0,-1,-1,1]]}', "node 0 "),
         ('{"kind":"stump","feature":-1,"threshold":0.0,"left":1.0,"right":2.0}', "stump feature"),
         ('{"kind":"atom","feature":-1,"low":0.0,"high":1.0,"value":1.0}', "atom feature"),
+        ('{"kind":"stump","feature":1.9,"threshold":0.0,"left":1.0,"right":2.0}',
+         "feature must be an integer, got 1.9"),
+        ('{"kind":"stump","feature":true,"threshold":0.0,"left":1.0,"right":2.0}',
+         "feature must be an integer, got True"),
+        ('{"kind":"atom","feature":0.0,"low":0.0,"high":1.0,"value":1.0}',
+         "feature must be an integer"),
+        ('{"kind":"tree","splits":1,"nodes":[[0.0,0.5,1,2,0],[-1,0,-1,-1,1],[-1,0,-1,-1,2]]}',
+         "node feature must be an integer"),
+        ('{"kind":"tree","splits":1,"nodes":[[0,0.5,1.2,2,0],[-1,0,-1,-1,1],[-1,0,-1,-1,2]]}',
+         "node child must be an integer, got 1.2"),
+        ('{"kind":"tree","splits":1,"nodes":[[0,0.5,1,2,0],[-1,0,-1,-1,1],[-1,0,false,-1,2]]}',
+         "node child must be an integer, got False"),
+        ('{"kind":"tree","splits":1.0,"nodes":[[0,0.5,1,2,0],[-1,0,-1,-1,1],[-1,0,-1,-1,2]]}',
+         "splits must be an integer"),
+        ('{"kind":"tree","splits":true,"nodes":[[0,0.5,1,2,0],[-1,0,-1,-1,1],[-1,0,-1,-1,2]]}',
+         "splits must be an integer"),
+        ('{"kind":"tree","splits":7,"nodes":[[0,0.5,1,2,0],[-1,0,-1,-1,1],[-1,0,-1,-1,2]]}',
+         "says 7 splits, its nodes hold 1"),
     ], ids=["tree-self-loop", "tree-back-edge", "tree-child-out-of-range", "tree-empty",
-            "tree-feature-below-leaf", "stump-negative-feature", "atom-negative-feature"])
+            "tree-feature-below-leaf", "stump-negative-feature", "atom-negative-feature",
+            "stump-float-feature", "stump-bool-feature", "atom-float-feature",
+            "tree-float-node-feature", "tree-float-child", "tree-bool-child",
+            "tree-float-splits", "tree-bool-splits", "tree-splits-not-its-node-count"])
     def test_malformed_record_rejected_at_load(self, record, message):
         # a tree child that does not follow its parent could loop forever in
         # evaluate; a negative feature would read a column from the end

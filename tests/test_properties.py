@@ -129,7 +129,7 @@ def test_every_prefix_predicts_as_the_replay(variant, hyp):
                            rtol=1e-9, atol=1e-12 * scale)
     for k in (-1, len(trace) + 1):
         with pytest.raises(InvalidInputError, match=f"prefix {k} outside the recorded path"):
-            EnsembleModel.from_path(model.learners, trace, k)
+            EnsembleModel.from_path(model.learners, trace, k, n_features=model.n_features)
 
 
 def test_distinct_trees_predict_as_the_per_term_sum():
