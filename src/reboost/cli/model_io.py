@@ -9,10 +9,12 @@ values.
 
 The loader checks every term record: its JSON numbers are finite; stump,
 atom and node ``feature``, tree child indices and ``splits`` are JSON
-integers (not bools); a stump or atom feature is >= 0; each tree node is a
-leaf or a split whose children follow it; and ``splits`` is the count of
-split nodes. It also needs ``features=`` >= 1. Violations raise
-``InvalidInputError``.
+integers (not bools); thresholds, leaf and atom values, ``low``,
+``high`` and ``scale`` are finite JSON numbers (not strings or bools),
+and so is each leaf value times ``scale``; a stump or atom feature is
+>= 0; each tree node is a leaf or a split whose children follow it; and
+``splits`` is the count of split nodes. It also needs ``features=``
+>= 1. Violations raise ``InvalidInputError``.
 """
 
 from __future__ import annotations
@@ -63,17 +65,33 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _float(value, what: str) -> float:
+    """A record field that must be a JSON number: not a string, not a bool.
+    The decoder has already rejected non-finite float literals, and float()
+    rejects an int too large for a float."""
+    if type(value) not in (int, float):
+        raise InvalidInputError(f"model record {what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_learner(payload: dict):
     kind = payload.get("kind")
-    scale = float(payload.get("scale", 1.0))
+    scale = _float(payload.get("scale", 1.0), "scale")
+
+    def scaled(value, what: str) -> float:
+        value = scale * _float(value, what)
+        if math.isinf(value):
+            raise InvalidInputError(f"model record {what} times scale {scale!r} is not finite")
+        return value
+
     if kind == "stump":
-        return DecisionStump(_int(payload["feature"], "feature"), float(payload["threshold"]),
-                             scale * float(payload["left"]),
-                             scale * float(payload["right"]))
+        return DecisionStump(_int(payload["feature"], "feature"),
+                             _float(payload["threshold"], "threshold"),
+                             scaled(payload["left"], "left"), scaled(payload["right"], "right"))
     if kind == "tree":
         tree = RegressionTree(tuple(
-            TreeNode(_int(f, "node feature"), float(t), _int(l, "node child"),
-                     _int(r, "node child"), scale * float(v))
+            TreeNode(_int(f, "node feature"), _float(t, "node threshold"),
+                     _int(l, "node child"), _int(r, "node child"), scaled(v, "node value"))
             for f, t, l, r, v in payload["nodes"]
         ))
         if _int(payload["splits"], "splits") != tree.splits:
@@ -81,8 +99,9 @@ def _parse_learner(payload: dict):
                                     f"its nodes hold {tree.splits}")
         return tree
     if kind == "atom":
-        return IntervalAtom(float(payload["low"]), float(payload["high"]),
-                            float(payload["value"]), feature=_int(payload["feature"], "feature"))
+        return IntervalAtom(_float(payload["low"], "low"), _float(payload["high"], "high"),
+                            _float(payload["value"], "value"),
+                            feature=_int(payload["feature"], "feature"))
     raise InvalidInputError(f"unknown learner kind {kind!r}")
 
 

@@ -2,7 +2,10 @@
 metrics, and the log-log convergence-rate diagnostic.
 
 Hyperparameters are selected on a validation set by evaluating the metric
-at every prefix of the boosting path (no retraining per candidate k).
+at every prefix of the boosting path (no retraining per candidate k). The
+path is replayed once; its prefix predictions are stacked as rows of a
+buffer of at most ``CURVE_BUFFER_FLOATS`` floats, and the metrics, which
+reduce along the last axis, score a whole buffer in one call.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ from reboost.core import (
 )
 
 log = logging.getLogger(__name__)
+
+# validation_curve's prefix buffer: 2**17 floats, 1 MiB, whatever k and n are
+CURVE_BUFFER_FLOATS = 2 ** 17
 
 METHODS = ("plain", "rescale", "shrunk", "truncated", "epsilon")
 
@@ -105,24 +111,37 @@ def split_dataset(data: Dataset, seed: int):
     )
 
 
-def rmse(preds, targets) -> float:
+def _metric_inputs(preds, targets):
+    """Float arrays of (n,) or (k, n) predictions and (n,) targets."""
     preds = np.asarray(preds, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if preds.shape != targets.shape or preds.size < 1:
-        raise InvalidInputError("preds and targets must be equal-length, nonempty")
-    return float(np.sqrt(np.mean((preds - targets) ** 2)))
+    if (targets.ndim != 1 or preds.ndim not in (1, 2) or preds.size < 1
+            or preds.shape[-1] != targets.size):
+        raise InvalidInputError("predictions must be (n,) or (k, n) against "
+                                "n nonempty 1-D targets")
+    return preds, targets
 
 
-def misclass_rate(scores, labels) -> float:
-    """Fraction of sign disagreements; a zero score counts as +1."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if scores.shape != labels.shape or scores.size < 1:
-        raise InvalidInputError("scores and labels must be equal-length, nonempty")
+def _per_row(values):
+    """A float for a 1-D input's reduction, the array of k values otherwise."""
+    return float(values) if values.ndim == 0 else values
+
+
+def rmse(preds, targets):
+    """Root mean squared error along the last axis of (n,) or (k, n)
+    predictions: a float, or one value per row."""
+    preds, targets = _metric_inputs(preds, targets)
+    return _per_row(np.sqrt(np.mean((preds - targets) ** 2, axis=-1)))
+
+
+def misclass_rate(scores, labels):
+    """Fraction of sign disagreements along the last axis of (n,) or (k, n)
+    scores: a float, or one value per row. A zero score counts as +1."""
+    scores, labels = _metric_inputs(scores, labels)
     if not (np.abs(labels) == 1.0).all():
         raise InvalidInputError("labels must be -1 or +1")
     decided = np.where(scores >= 0.0, 1.0, -1.0)
-    return float(np.mean(decided != labels))
+    return _per_row(np.mean(decided != labels, axis=-1))
 
 
 def metric_for_task(task: Task):
@@ -138,14 +157,27 @@ def path_predictions(model: EnsembleModel, trace: TrainTrace, features,
 
 
 def validation_curve(model: EnsembleModel, trace: TrainTrace, val_set: Dataset) -> np.ndarray:
-    """Validation metric after every iteration of a recorded path, replayed once."""
+    """Validation metric after every iteration of a recorded path.
+
+    The path is replayed once, P <- (1 - alpha_k) P + beta_k g_k(X_val), each
+    prefix's P written to a row of a buffer of at most CURVE_BUFFER_FLOATS
+    floats (one row if a single row is larger); each filled buffer is
+    scored by one metric call.
+    """
     metric = metric_for_task(val_set.task)
+    steps = list(zip(trace.records, model.learners))
+    curve = np.empty(len(steps))
+    rows = max(1, CURVE_BUFFER_FLOATS // val_set.n_samples)
+    buf = np.empty((min(rows, len(steps)), val_set.n_samples))
     preds = np.zeros(val_set.n_samples)
-    curve = []
-    for rec, learner in zip(trace.records, model.learners):
-        preds = (1.0 - rec.alpha) * preds + rec.beta * learner.evaluate(val_set.features)
-        curve.append(metric(preds, val_set.targets))
-    return np.array(curve)
+    for start in range(0, len(steps), rows):
+        block = buf[:len(steps) - start]
+        for row, (rec, learner) in zip(block, steps[start:start + rows]):
+            np.multiply(1.0 - rec.alpha, preds, out=row)
+            row += rec.beta * learner.evaluate(val_set.features)
+            preds = row
+        curve[start:start + len(block)] = metric(block, val_set.targets)
+    return curve
 
 
 def variant_cells(method: str):

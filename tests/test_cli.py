@@ -110,7 +110,9 @@ class TestPredictModelErrors:
         '{"kind":"stump","feature":-1,"threshold":0.0,"left":1.0,"right":2.0}',
         '{"kind":"stump","feature":1.9,"threshold":0.0,"left":1.0,"right":2.0}',
         '{"kind":"tree","splits":7,"nodes":[[0,0.5,1,2,0],[-1,0,-1,-1,1],[-1,0,-1,-1,2]]}',
-    ], ids=["cyclic-tree", "negative-feature", "float-feature", "splits-not-its-node-count"])
+        '{"kind":"stump","feature":0,"threshold":"0.5","left":true,"right":"nan"}',
+    ], ids=["cyclic-tree", "negative-feature", "float-feature", "splits-not-its-node-count",
+            "string-and-bool-floats"])
     def test_malformed_learner(self, tmp_path, model_lines, payload, capsys):
         i = next(i for i, ln in enumerate(model_lines) if ln.startswith("term "))
         lines = model_lines[:i] + [f"term 1 {payload}"] + model_lines[i + 1:]

@@ -1,11 +1,23 @@
 import logging
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reboost.boosters import StumpLearner, TrainConfig, Plain, train
-from reboost.core import Dataset, InvalidInputError, Task
+from reboost import harness
+from reboost.boosters import (
+    Plain,
+    Rescale,
+    ShrinkageSchedule,
+    StumpLearner,
+    TrainConfig,
+    TreeLearner,
+    train,
+)
+from reboost.core import Dataset, EnsembleModel, InvalidInputError, Task, TrainTrace
 from reboost.harness import (
     FAMILIES,
     METHODS,
@@ -22,6 +34,7 @@ from reboost.harness import (
     variant_cells,
 )
 from reboost.losses import LossKind
+from reboost.synthdata import gen_orange
 
 
 def toy_dataset(seed=0, m=80):
@@ -103,6 +116,41 @@ class TestMetrics:
         assert metric_for_task(Task.REGRESSION) is rmse
         assert metric_for_task(Task.CLASSIFICATION) is misclass_rate
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda k: st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
+                 min_size=k, max_size=k),
+        st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
+        st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))))
+    def test_rows_score_as_one_dimensional_calls(self, drawn):
+        preds, targets, labels = drawn
+        for metric, truth in ((rmse, targets), (misclass_rate, labels)):
+            rows = metric(np.array(preds), truth)
+            singles = [metric(p, truth) for p in preds]
+            assert all(type(v) is float for v in singles)
+            assert rows.shape == (len(preds),)
+            assert [float(v).hex() for v in rows] == [v.hex() for v in singles]
+
+    @pytest.mark.parametrize("metric", [rmse, misclass_rate])
+    @pytest.mark.parametrize("preds, targets", [
+        ([[1.0, -1.0, 1.0]], [1.0, -1.0]),
+        ([1.0, -1.0], [[1.0, -1.0]]),
+        ([[1.0, -1.0]], [[1.0, -1.0]]),
+        ([], []),
+        (np.empty((0, 2)), [1.0, -1.0]),
+        (np.empty((2, 0)), []),
+        (np.ones((1, 1, 2)), [1.0, -1.0]),
+        (1.0, 1.0),
+    ], ids=["row-length-mismatch", "2-d-targets", "2-d-both", "empty", "no-rows",
+            "empty-rows", "3-d-preds", "scalars"])
+    def test_shape_rejections(self, metric, preds, targets):
+        with pytest.raises(InvalidInputError):
+            metric(preds, targets)
+
+    def test_row_labels_validated(self):
+        with pytest.raises(InvalidInputError, match=r"labels must be -1 or \+1"):
+            misclass_rate([[0.1, -0.1], [0.2, 0.3]], [1.0, 0.0])
+
 
 class TestPathPredictions:
     def test_prefix_matches_full_model(self):
@@ -121,6 +169,70 @@ class TestPathPredictions:
         for k in (1, 4, 8):
             preds = path_predictions(model, trace, val.features, k)
             assert curve[k - 1] == pytest.approx(rmse(preds, val.targets))
+
+
+def replayed_curve(model, trace, val_set):
+    """The per-step replay validation_curve ran before it scored its
+    prefixes in buffers: one 1-D metric call after every step."""
+    metric = metric_for_task(val_set.task)
+    preds = np.zeros(val_set.n_samples)
+    curve = []
+    for rec, learner in zip(trace.records, model.learners):
+        preds = (1.0 - rec.alpha) * preds + rec.beta * learner.evaluate(val_set.features)
+        curve.append(metric(preds, val_set.targets))
+    return np.array(curve)
+
+
+def regression_path():
+    config = TrainConfig(40, LossKind.SQUARED, TreeLearner(3),
+                         Rescale(ShrinkageSchedule.experimental(5.0)))
+    return (*train(toy_dataset(4), config, 0), toy_dataset(5, m=37))
+
+
+def classification_path():
+    config = TrainConfig(60, LossKind.LOGISTIC, StumpLearner(),
+                         Rescale(ShrinkageSchedule.experimental(2.0)))
+    return (*train(gen_orange(40, 1, 6), config, 0), gen_orange(25, 1, 7))
+
+
+class TestValidationCurve:
+    @pytest.mark.parametrize("make", [regression_path, classification_path])
+    def test_equals_per_step_replay(self, make):
+        model, trace, val = make()
+        curve = validation_curve(model, trace, val)
+        assert curve.dtype == np.float64 and curve.shape == (len(trace),)
+        assert curve.tobytes() == replayed_curve(model, trace, val).tobytes()
+
+    @pytest.mark.parametrize("make", [regression_path, classification_path])
+    @pytest.mark.parametrize("rows", [0, 1, 3, 7])
+    def test_curve_longer_than_one_buffer(self, monkeypatch, make, rows):
+        # rows=0 asks for a buffer smaller than one row, which holds one anyway
+        model, trace, val = make()
+        monkeypatch.setattr(harness, "CURVE_BUFFER_FLOATS", rows * val.n_samples + 1)
+        curve = validation_curve(model, trace, val)
+        assert curve.tobytes() == replayed_curve(model, trace, val).tobytes()
+
+    def test_empty_trace(self):
+        val = toy_dataset(5, m=9)
+        curve = validation_curve(EnsembleModel(2, 0.0, [], []), TrainTrace(), val)
+        assert curve.dtype == np.float64 and curve.shape == (0,)
+
+    def test_buffer_memory_is_bounded(self, monkeypatch):
+        # 200 steps on 4,000 rows would be 6.4 MB of prefixes; the buffer
+        # holds 16 rows (512 KB), and the metric's temporaries of its shape
+        # bring the peak to about twice that
+        data = toy_dataset(8)
+        val = toy_dataset(9, m=4000)
+        model, trace = train(data, TrainConfig(200, LossKind.SQUARED, StumpLearner(),
+                                               Plain()), 0)
+        monkeypatch.setattr(harness, "CURVE_BUFFER_FLOATS", 16 * val.n_samples)
+        tracemalloc.start()
+        try:
+            validation_curve(model, trace, val)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * harness.CURVE_BUFFER_FLOATS
 
 
 class TestTune:

@@ -194,11 +194,37 @@ class TestEvaluate:
          "splits must be an integer"),
         ('{"kind":"tree","splits":7,"nodes":[[0,0.5,1,2,0],[-1,0,-1,-1,1],[-1,0,-1,-1,2]]}',
          "says 7 splits, its nodes hold 1"),
+        ('{"kind":"stump","feature":0,"threshold":"0.5","left":true,"right":"nan"}',
+         "threshold must be a number, got '0.5'"),
+        ('{"kind":"stump","feature":0,"threshold":0.5,"left":true,"right":1.0}',
+         "left must be a number, got True"),
+        ('{"kind":"stump","feature":0,"threshold":0.5,"left":1.0,"right":"nan"}',
+         "right must be a number, got 'nan'"),
+        ('{"kind":"atom","feature":0,"low":"-inf","high":1.0,"value":"1e400"}',
+         "low must be a number, got '-inf'"),
+        ('{"kind":"atom","feature":0,"low":0.0,"high":1.0,"value":"1e400"}',
+         "value must be a number, got '1e400'"),
+        ('{"kind":"atom","feature":0,"low":0.0,"high":null,"value":1.0}',
+         "high must be a number, got None"),
+        ('{"kind":"tree","splits":1,"nodes":[[0,"0.5",1,2,0],[-1,0,-1,-1,1],[-1,0,-1,-1,2]]}',
+         "node threshold must be a number"),
+        ('{"kind":"tree","splits":1,"nodes":[[0,0.5,1,2,0],[-1,0,-1,-1,false],[-1,0,-1,-1,2]]}',
+         "node value must be a number, got False"),
+        ('{"kind":"stump","feature":0,"threshold":0.0,"left":1.0,"right":2.0,"scale":"2"}',
+         "scale must be a number, got '2'"),
+        ('{"kind":"stump","feature":0,"threshold":0.0,"left":1e300,"right":2.0,"scale":1e300}',
+         r"left times scale 1e\+300 is not finite"),
+        ('{"kind":"stump","feature":0,"threshold":1%s,"left":1.0,"right":2.0}' % ("0" * 400),
+         "OverflowError"),
     ], ids=["tree-self-loop", "tree-back-edge", "tree-child-out-of-range", "tree-empty",
             "tree-feature-below-leaf", "stump-negative-feature", "atom-negative-feature",
             "stump-float-feature", "stump-bool-feature", "atom-float-feature",
             "tree-float-node-feature", "tree-float-child", "tree-bool-child",
-            "tree-float-splits", "tree-bool-splits", "tree-splits-not-its-node-count"])
+            "tree-float-splits", "tree-bool-splits", "tree-splits-not-its-node-count",
+            "stump-string-threshold", "stump-bool-value", "stump-string-nan-value",
+            "atom-string-infinities", "atom-string-overflow-value", "atom-null-high",
+            "tree-string-node-threshold", "tree-bool-node-value", "string-scale",
+            "scale-overflows-value", "int-too-large-for-a-float"])
     def test_malformed_record_rejected_at_load(self, record, message):
         # a tree child that does not follow its parent could loop forever in
         # evaluate; a negative feature would read a column from the end
