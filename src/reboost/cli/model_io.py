@@ -12,7 +12,8 @@ atom and node ``feature``, tree child indices and ``splits`` are JSON
 integers (not bools); thresholds, leaf and atom values, ``low``,
 ``high`` and ``scale`` are finite JSON numbers (not strings or bools),
 and so is each leaf value times ``scale``; a stump or atom feature is
->= 0; each tree node is a leaf or a split whose children follow it; and
+>= 0; each tree node is a leaf or a split whose children follow it, and
+each node but the root is the child of exactly one split; and
 ``splits`` is the count of split nodes. It also needs ``features=``
 >= 1. Violations raise ``InvalidInputError``.
 """

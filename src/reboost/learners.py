@@ -10,6 +10,12 @@ reads rows outside its node. Fitting minimizes the squared error
 against pseudo-residuals, which is the practical surrogate for selecting
 the dictionary element with the largest normalized negative-gradient inner
 product (for two-leaf partitions the two selections coincide; see tests).
+
+A tree is evaluated without row subsets: each split is one full-width
+select over all rows between its children's values, so a J-split tree
+costs J selects. For the J <= 4 trees the experiments and the CLI default
+use, that is faster than splitting the rows node by node; from about
+J = 16 on a few thousand rows the node-by-node walk is faster.
 """
 
 from __future__ import annotations
@@ -80,31 +86,45 @@ class RegressionTree:
         size = len(self.nodes)  # children follow their parent, so every walk ends
         if not size:
             raise InvalidInputError("tree has no nodes")
+        parents = [1] + [0] * (size - 1)  # the root counts as having its one parent
         for i, n in enumerate(self.nodes):
             if n.feature < -1 or not (n.is_leaf or i < n.left < size and i < n.right < size):
                 raise InvalidInputError(f"tree node {i} is neither a leaf (feature -1) nor a "
                                         "split on a feature >= 0 whose children follow it")
+            if parents[i] != 1:  # every parent of node i precedes it, so all are counted
+                raise InvalidInputError(f"tree node {i} has {parents[i]} parents; every "
+                                        "node but the root is the child of exactly one split")
+            if not n.is_leaf:
+                parents[n.left] += 1
+                parents[n.right] += 1
         object.__setattr__(self, "splits", sum(not n.is_leaf for n in self.nodes))
         object.__setattr__(self, "_max_feature", max(n.feature for n in self.nodes))
 
     def evaluate(self, features) -> np.ndarray:
+        """The tree's output on every row of ``features``.
+
+        Nodes are valued in reverse index order, so both children of a split
+        are valued before it: a leaf's value is its scalar, and a split's is
+        one full-width ``np.where(X[:, f] <= t, left, right)`` over all rows.
+        Each node has one parent, so a child's array is dropped as soon as
+        its parent has used it. This is O(J * n) work, against O(depth * n)
+        for a walk that cuts the rows in two at each node, but with no
+        per-node gather or scatter. Against such a walk (2-vCPU x86-64,
+        numpy 2.4) a J = 4 tree took 0.5-0.85x the time at 500-100,000
+        rows, a J = 16 tree on 5,000 rows 1.1-1.6x and a J = 64 tree 2-3.5x.
+        The experiments and the CLI default fit J <= 4.
+        """
         X = np.atleast_2d(np.asarray(features, dtype=float))
         if self._max_feature >= X.shape[1]:
             raise InvalidInputError(
                 f"tree uses feature {self._max_feature}, input has {X.shape[1]}"
             )
-        out = np.empty(X.shape[0])
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node_id, rows = stack.pop()
-            node = self.nodes[node_id]
-            if node.is_leaf:
-                out[rows] = node.value
-            elif rows.size:
-                go_left = X[rows, node.feature] <= node.threshold
-                stack.append((node.left, rows[go_left]))
-                stack.append((node.right, rows[~go_left]))
-        return out
+        value = {}  # node id -> value of a node whose parent is still to come
+        for i in range(len(self.nodes) - 1, -1, -1):
+            n = self.nodes[i]
+            value[i] = n.value if n.is_leaf else np.where(
+                X[:, n.feature] <= n.threshold, value.pop(n.left), value.pop(n.right))
+        return np.full(X.shape[0], value[0]) if self.nodes[0].is_leaf else value[0]
 
     def describe(self) -> str:
         return f"tree[J{self.splits}]"

@@ -1,7 +1,11 @@
 import csv
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,8 +115,10 @@ class TestPredictModelErrors:
         '{"kind":"stump","feature":1.9,"threshold":0.0,"left":1.0,"right":2.0}',
         '{"kind":"tree","splits":7,"nodes":[[0,0.5,1,2,0],[-1,0,-1,-1,1],[-1,0,-1,-1,2]]}',
         '{"kind":"stump","feature":0,"threshold":"0.5","left":true,"right":"nan"}',
+        '{"kind":"tree","splits":3,"nodes":[[0,0.5,1,2,0],[0,0.5,3,4,0],[1,0.5,3,4,0],'
+        '[-1,0,-1,-1,1],[-1,0,-1,-1,2]]}',
     ], ids=["cyclic-tree", "negative-feature", "float-feature", "splits-not-its-node-count",
-            "string-and-bool-floats"])
+            "string-and-bool-floats", "tree-child-of-two-splits"])
     def test_malformed_learner(self, tmp_path, model_lines, payload, capsys):
         i = next(i for i, ln in enumerate(model_lines) if ln.startswith("term "))
         lines = model_lines[:i] + [f"term 1 {payload}"] + model_lines[i + 1:]
@@ -487,3 +493,16 @@ class TestWrittenCsv:
         # coefficients near the float maximum: the squared-loss risk overflows
         assert main(["convergence", "--coef-norm", "1e308", "--k-max", "4"]) == EXIT_TRAIN
         assert "non-finite risk" in capsys.readouterr().err
+
+
+class TestRunAsModule:
+    """``python -m reboost.cli`` with only the checkout's ``src/`` on the path."""
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["nosuch"], 2)],
+                             ids=["help", "unknown-subcommand"])
+    def test_exit_code(self, argv, code):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-m", "reboost.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == code
+        assert "usage: reboost" in (done.stdout if code == 0 else done.stderr)

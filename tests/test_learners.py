@@ -1,4 +1,7 @@
+import json
+import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +119,32 @@ def tree_sse(tree, X, r):
     return float(np.sum((r - tree.evaluate(X)) ** 2))
 
 
+def walked_evaluate(tree, X):
+    """Reference tree evaluation that walks a stack of (node, rows) pairs:
+    each split gathers its rows' feature and cuts them in two, each leaf
+    writes its value to its rows."""
+    out = np.empty(X.shape[0])
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node_id, rows = stack.pop()
+        node = tree.nodes[node_id]
+        if node.is_leaf:
+            out[rows] = node.value
+        elif rows.size:
+            go_left = X[rows, node.feature] <= node.threshold
+            stack.append((node.left, rows[go_left]))
+            stack.append((node.right, rows[~go_left]))
+    return out
+
+
+def model_text(records, features=2):
+    """A checksummed model file with one term of coefficient 1 per record."""
+    body = ("reboost-model 1\nloss=squared\ntask=regression\n"
+            f"features={features}\nseed=0\nintercept=0\nterms={len(records)}\n"
+            + "".join(f"term 1 {record}\n" for record in records))
+    return body + f"checksum={zlib.crc32(body.encode('utf-8')) & 0xFFFFFFFF:08x}\n"
+
+
 class TestEvaluate:
     def test_tie_goes_left(self):
         s = DecisionStump(0, 1.5, -1.0, 1.0)
@@ -159,10 +188,7 @@ class TestEvaluate:
         stump = '{"kind":"stump","feature":0,"threshold":0.0,"left":-2.0,"right":2.0,"scale":0.5}'
         tree = ('{"kind":"tree","splits":1,"scale":0.25,"nodes":'
                 '[[0,0.0,1,2,0.0],[-1,0.0,-1,-1,4.0],[-1,0.0,-1,-1,-8.0]]}')
-        body = ("reboost-model 1\nloss=squared\ntask=regression\nfeatures=1\nseed=0\n"
-                f"intercept=0\nterms=2\nterm 1 {stump}\nterm 1 {tree}\n")
-        text = body + f"checksum={zlib.crc32(body.encode('utf-8')) & 0xFFFFFFFF:08x}\n"
-        model, *_ = model_from_text(text)
+        model, *_ = model_from_text(model_text([stump, tree], features=1))
         assert model.learners[0] == DecisionStump(0, 0.0, -1.0, 1.0)
         assert [n.value for n in model.learners[1].nodes] == [0.0, 1.0, -2.0]
         assert np.array_equal(model.predict([[-1.0], [1.0]]), [0.0, -1.0])
@@ -216,6 +242,14 @@ class TestEvaluate:
          r"left times scale 1e\+300 is not finite"),
         ('{"kind":"stump","feature":0,"threshold":1%s,"left":1.0,"right":2.0}' % ("0" * 400),
          "OverflowError"),
+        ('{"kind":"tree","splits":1,"nodes":[[0,0.5,1,1,0],[-1,0,-1,-1,1]]}',
+         "node 1 has 2 parents"),
+        ('{"kind":"tree","splits":3,"nodes":[[0,0.5,1,2,0],[0,0.5,3,4,0],[1,0.5,3,4,0],'
+         '[-1,0,-1,-1,1],[-1,0,-1,-1,2]]}', "node 3 has 2 parents"),
+        ('{"kind":"tree","splits":1,"nodes":[[0,0.5,1,2,0],[-1,0,-1,-1,1],[-1,0,-1,-1,2],'
+         '[-1,0,-1,-1,3]]}', "node 3 has 0 parents"),
+        ('{"kind":"tree","splits":2,"nodes":[[0,0.5,1,2,0],[-1,0,-1,-1,1],[-1,0,-1,-1,2],'
+         '[1,0.5,4,5,0],[-1,0,-1,-1,3],[-1,0,-1,-1,4]]}', "node 3 has 0 parents"),
     ], ids=["tree-self-loop", "tree-back-edge", "tree-child-out-of-range", "tree-empty",
             "tree-feature-below-leaf", "stump-negative-feature", "atom-negative-feature",
             "stump-float-feature", "stump-bool-feature", "atom-float-feature",
@@ -224,15 +258,15 @@ class TestEvaluate:
             "stump-string-threshold", "stump-bool-value", "stump-string-nan-value",
             "atom-string-infinities", "atom-string-overflow-value", "atom-null-high",
             "tree-string-node-threshold", "tree-bool-node-value", "string-scale",
-            "scale-overflows-value", "int-too-large-for-a-float"])
+            "scale-overflows-value", "int-too-large-for-a-float",
+            "tree-left-equals-right", "tree-child-of-two-splits", "tree-orphan-leaf",
+            "tree-orphan-split"])
     def test_malformed_record_rejected_at_load(self, record, message):
         # a tree child that does not follow its parent could loop forever in
-        # evaluate; a negative feature would read a column from the end
-        body = ("reboost-model 1\nloss=squared\ntask=regression\nfeatures=2\nseed=0\n"
-                f"intercept=0\nterms=1\nterm 1 {record}\n")
-        text = body + f"checksum={zlib.crc32(body.encode('utf-8')) & 0xFFFFFFFF:08x}\n"
+        # evaluate, and a node with no parent or two is not part of one tree;
+        # a negative feature would read a column from the end
         with pytest.raises(InvalidInputError, match=message):
-            model_from_text(text)
+            model_from_text(model_text([record]))
 
     def test_interval_atom(self):
         a = IntervalAtom(0.25, 0.5, 2.0)
@@ -459,6 +493,74 @@ class TestSplitIndexOracle:
         left = X[:, j] <= thr
         assert stump == DecisionStump(j, thr, float(r[left].mean()),
                                       float(r[~left].mean()))
+
+
+@st.composite
+def tree_and_rows(draw):
+    """A fitted tree of 1-8 splits (a single leaf on constant residuals),
+    some of its leaves set to +-0.0, its tied design, and 0-12 more rows
+    whose cells are design values, thresholds and the floats just above
+    the thresholds."""
+    X, r, _ = draw(design_and_residuals())
+    if draw(st.integers(0, 7)) == 0:
+        r = np.full_like(r, r[0])
+    tree = fit_tree(SplitIndex(X), r, min(draw(st.integers(1, 8)), X.shape[0] - 1))
+    zeros = draw(st.lists(st.sampled_from((None, 0.0, -0.0)),
+                          min_size=len(tree.nodes), max_size=len(tree.nodes)))
+    tree = RegressionTree(tuple(replace(n, value=z) if n.is_leaf and z is not None else n
+                                for n, z in zip(tree.nodes, zeros)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = draw(st.integers(0, 12))
+    columns = []
+    for j in range(X.shape[1]):
+        thr = np.array([n.threshold for n in tree.nodes if n.feature == j])
+        cells = np.concatenate([X[:, j], thr, np.nextafter(thr, np.inf)])
+        columns.append(rng.choice(cells, size=n_rows))
+    return tree, X, np.column_stack(columns)
+
+
+class TestEvaluateOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(tree_and_rows())
+    def test_select_equals_row_walk(self, case):
+        tree, *inputs = case
+        for X in inputs:
+            out = tree.evaluate(X)
+            assert out.dtype == np.float64 and out.shape == (X.shape[0],)
+            assert out.tobytes() == walked_evaluate(tree, X).tobytes()
+
+    def test_single_leaf_and_no_rows(self):
+        leaf = RegressionTree((TreeNode(value=-0.0),))
+        assert leaf.evaluate(np.ones((3, 2))).tobytes() == np.full(3, -0.0).tobytes()
+        split = RegressionTree((TreeNode(0, 0.5, 1, 2), TreeNode(value=1.0),
+                                TreeNode(value=2.0)))
+        for tree in (leaf, split):
+            out = tree.evaluate(np.empty((0, 2)))
+            assert out.dtype == np.float64 and out.shape == (0,)
+
+    def test_long_chain_keeps_few_arrays(self):
+        # split i (node 2i) sends x <= i / splits to its left leaf, of value
+        # i, and the rest to node 2i + 2: the next split, or after the last
+        # split a leaf of value ``splits``
+        splits, n = 2000, 5000
+        nodes = []
+        for i in range(splits):
+            nodes += [[0, i / splits, 2 * i + 1, 2 * i + 2, 0], [-1, 0, -1, -1, i]]
+        nodes.append([-1, 0, -1, -1, splits])
+        record = json.dumps({"kind": "tree", "splits": splits, "nodes": nodes})
+        model, *_ = model_from_text(model_text([record], features=1))
+        tree = model.learners[0]
+        X = np.random.default_rng(26).uniform(size=(n, 1))
+        tracemalloc.start()
+        try:
+            out = tree.evaluate(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * X.itemsize
+        thresholds = np.arange(splits) / splits
+        assert np.array_equal(out, np.searchsorted(thresholds, X[:, 0]))
+        assert out.tobytes() == walked_evaluate(tree, X).tobytes()
 
 
 class TestLargeTreeOracle:
