@@ -149,6 +149,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidSpecError("max_iterations must be >= 1")
+        if isinstance(self.variant, Truncated):  # t_k does not increase with k
+            k = self.max_iterations
+            try:
+                t = self.variant.bound_at(k)
+            except OverflowError:  # k beyond the float range
+                t = float("nan")
+            if not t > 0.0:
+                raise InvalidSpecError(f"truncated bound t_{k} = {t} must be > 0 "
+                                       "at every iteration up to max_iterations")
 
 
 class _FitSelector:

@@ -10,8 +10,9 @@ that ``_phase`` tags where one type means different things:
   classification loss without ``--task classification``, an unknown
   ``fetch --name``
 - 3 an input or output file: a dataset, feature CSV or model file that
-  cannot be read or is malformed, a malformed ``fetch --table`` entry or
-  download, an output file that cannot be written
+  cannot be read or is malformed, a ``bench`` dataset too small to split,
+  a malformed ``fetch --table`` entry or download, an output file that
+  cannot be written
 - 4 training or tuning
 - 5 network
 - 6 checksum
@@ -167,9 +168,6 @@ def _run_experiment(args, provider, grid, loss, learner) -> int:
     methods = tuple(args.methods) if args.methods else harness.METHODS
     report = harness.repeat_experiment(provider, methods, grid, loss,
                                        learner, args.runs, args.seed)
-    failed = [r.method for r in report.rows if r.runs == 0]
-    if failed:
-        raise harness.TuningError(f"every run failed for methods: {failed}")
     _print_report(report)
     if args.report_out:
         _write_records(args.report_out, harness.MethodResult, report.rows)
@@ -200,6 +198,7 @@ def cmd_bench(args) -> int:
     task = _task(args.task)
     with _phase(EXIT_DATA, InvalidInputError):
         data = data_io.load_dataset_csv(args.data, task)
+        harness.split_dataset(data, args.seed)  # raises if a part would be empty
     loss = LossKind.LOGISTIC if task is Task.CLASSIFICATION else LossKind.SQUARED
     provider = functools.partial(harness.split_dataset, data)
     return _run_experiment(args, provider, grid, loss, boosters.StumpLearner())

@@ -5,7 +5,8 @@ Hyperparameters are selected on a validation set by evaluating the metric
 at every prefix of the boosting path (no retraining per candidate k). The
 path is replayed once; its prefix predictions are stacked as rows of a
 buffer of at most ``CURVE_BUFFER_FLOATS`` floats, and the metrics, which
-reduce along the last axis, score a whole buffer in one call.
+reduce along the last axis, score a whole buffer in one call. ``tune``
+returns the chosen prefix's model, which ``repeat_experiment`` tests.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -55,7 +55,7 @@ FAMILIES = {
 
 
 class TuningError(RuntimeError):
-    """Raised when every grid cell of a tuning sweep fails."""
+    """Raised when every cell of a tuning sweep or every run of a method fails."""
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,12 @@ class ExperimentReport:
 
 @dataclass(frozen=True)
 class TuneResult:
+    """The chosen cell and k, the validation metric there, and that prefix's model."""
+
     params: str
     best_k: int
     val_metric: float
     model: EnsembleModel
-    trace: TrainTrace
 
 
 def split_dataset(data: Dataset, seed: int):
@@ -148,14 +149,6 @@ def metric_for_task(task: Task):
     return misclass_rate if task is Task.CLASSIFICATION else rmse
 
 
-def path_predictions(model: EnsembleModel, trace: TrainTrace, features,
-                     upto: int | None = None) -> np.ndarray:
-    """Predictions of the length-``upto`` prefix of a recorded boosting path:
-    those of the model ``EnsembleModel.from_path`` builds from those steps."""
-    return EnsembleModel.from_path(model.learners, trace, upto,
-                                   n_features=model.n_features).predict(features)
-
-
 def validation_curve(model: EnsembleModel, trace: TrainTrace, val_set: Dataset) -> np.ndarray:
     """Validation metric after every iteration of a recorded path.
 
@@ -181,29 +174,24 @@ def validation_curve(model: EnsembleModel, trace: TrainTrace, val_set: Dataset) 
 
 
 def variant_cells(method: str):
-    """(label, variant factory) candidates for one method family.
-
-    Factories defer construction so an infeasible cell (e.g. a u below 1,
-    which makes the first rescale degree exceed 1) fails inside the tuning
-    loop and is skipped like any other cell failure.
-    """
+    """(label, variant) candidates for one method family, in grid order."""
     if method == "plain":
-        return [("-", Plain)]
+        return [("-", Plain())]
     if method not in FAMILIES:
         raise InvalidInputError(f"unknown method family {method!r}")
     name, make, values = FAMILIES[method]
-    return [(f"{name}={v:.6g}", partial(make, v)) for v in values]
+    return [(f"{name}={v:.6g}", make(v)) for v in values]
 
 
 def tune(train_set: Dataset, val_set: Dataset, method: str, grid: TuningGrid,
          loss, learner) -> TuneResult:
     """Grid-search one method family; select (cell, k) minimizing the
-    validation metric, ties toward smaller k then earlier grid position."""
-    best = None  # ((metric, k, cell_idx), label, model, trace)
-    for idx, (label, make_variant) in enumerate(variant_cells(method)):
+    validation metric, ties toward smaller k then earlier grid position,
+    and return the model of that cell's first k steps."""
+    best = None  # ((metric, k, cell_idx), label, learners, trace)
+    for idx, (label, variant) in enumerate(variant_cells(method)):
         try:
-            config = TrainConfig(grid.k_max, loss, learner, make_variant())
-            model, trace = train(train_set, config)
+            model, trace = train(train_set, TrainConfig(grid.k_max, loss, learner, variant))
             curve = validation_curve(model, trace, val_set)
             if curve.size == 0:
                 raise InvalidInputError("empty training path")
@@ -213,11 +201,12 @@ def tune(train_set: Dataset, val_set: Dataset, method: str, grid: TuningGrid,
         k_best = int(np.argmin(curve)) + 1
         key = (float(curve[k_best - 1]), k_best, idx)
         if best is None or key < best[0]:
-            best = (key, label, model, trace)
+            best = (key, label, model.learners, trace)
     if best is None:
         raise TuningError(f"every grid cell failed for method {method!r}")
-    key, label, model, trace = best
-    return TuneResult(label, key[1], key[0], model, trace)
+    (val_metric, k, _), label, learners, trace = best
+    model = EnsembleModel.from_path(learners, trace, k, n_features=train_set.n_features)
+    return TuneResult(label, k, val_metric, model)
 
 
 def repeat_experiment(provider, methods, grid: TuningGrid, loss, learner,
@@ -225,14 +214,13 @@ def repeat_experiment(provider, methods, grid: TuningGrid, loss, learner,
     """Run generate/split -> tune -> test for seeds base_seed + i.
 
     ``provider(seed)`` must return (train, validation, test) datasets.
-    Failed method-runs are excluded from the statistics and counted.
+    Failed method-runs are excluded from the statistics and counted; a
+    method with no completed run raises ``TuningError``.
     """
     if runs < 1:
         raise InvalidInputError("runs must be >= 1")
     seeds = tuple(base_seed + i for i in range(runs))
-    metrics: dict[str, list[float]] = {m: [] for m in methods}
-    labels: dict[str, list[str]] = {m: [] for m in methods}
-    ks: dict[str, list[int]] = {m: [] for m in methods}
+    results: dict[str, list[tuple[float, str, int]]] = {m: [] for m in methods}
     failures = 0
 
     for seed in seeds:
@@ -241,27 +229,24 @@ def repeat_experiment(provider, methods, grid: TuningGrid, loss, learner,
         for method in methods:
             try:
                 res = tune(train_set, val_set, method, grid, loss, learner)
-                test_preds = path_predictions(res.model, res.trace,
-                                              test_set.features, res.best_k)
-                metrics[method].append(metric(test_preds, test_set.targets))
-                labels[method].append(res.params)
-                ks[method].append(res.best_k)
+                test_metric = metric(res.model.predict(test_set.features), test_set.targets)
             except Exception as err:
                 failures += 1
                 log.warning("run seed=%d method=%s failed: %s", seed, method, err)
+                continue
+            results[method].append((test_metric, res.params, res.best_k))
 
+    failed = [m for m in methods if not results[m]]
+    if failed:
+        raise TuningError(f"every run failed for methods: {failed}")
     rows = []
     for method in methods:
-        vals = np.array(metrics[method])
-        if vals.size == 0:
-            rows.append(MethodResult(method, float("nan"), float("nan"), "-", 0, 0))
-            continue
+        metrics, labels, ks = zip(*results[method])
+        vals = np.array(metrics)
         stderr = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-        chosen = Counter(labels[method]).most_common(1)[0][0]
-        rows.append(MethodResult(
-            method, float(vals.mean()), stderr, chosen,
-            int(np.median(ks[method])), int(vals.size),
-        ))
+        chosen = Counter(labels).most_common(1)[0][0]
+        rows.append(MethodResult(method, float(vals.mean()), stderr, chosen,
+                                 int(np.median(ks)), int(vals.size)))
     return ExperimentReport(tuple(rows), seeds, failures)
 
 

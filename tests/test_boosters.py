@@ -239,6 +239,14 @@ class TestVariants:
         for rec in trace.records:
             assert abs(rec.beta) <= t0 * rec.k ** (-2.0 / 3.0) + 1e-15
 
+    def test_config_rejects_a_truncated_bound_that_underflows(self):
+        # t_3 = 3^-1000 rounds to 0, which the line search would reject mid-run
+        TrainConfig(2, LossKind.SQUARED, StumpLearner(), Truncated(1.0, 1000.0))
+        with pytest.raises(InvalidSpecError, match=r"truncated bound t_3 = 0\.0 must be > 0"):
+            TrainConfig(3, LossKind.SQUARED, StumpLearner(), Truncated(1.0, 1000.0))
+        with pytest.raises(InvalidSpecError, match=r"= nan must be > 0"):  # k ** -e overflows
+            TrainConfig(10 ** 400, LossKind.SQUARED, StumpLearner(), Truncated(1.0, 0.0))
+
     def test_epsilon_steps_have_exact_norm(self):
         data = regression_data(seed=10)
         eps = 0.07

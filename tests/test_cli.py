@@ -303,13 +303,15 @@ class TestExitCodes:
         (["--variant", "truncated", "--t0", "1", "--t-exponent", "inf"], "exponent = inf"),
         (["--variant", "truncated", "--t0", "1", "--t-exponent=-inf"], "exponent = -inf"),
         (["--variant", "truncated", "--t0", "1", "--t-exponent=-0.5"], "exponent = -0.5"),
+        (["--variant", "truncated", "--t0", "1", "--t-exponent", "1000", "-k", "5"],
+         "truncated bound t_5 = 0.0 must be > 0"),
         (["--variant", "epsilon", "--eps", "inf"], "eps must be positive and finite"),
         (["--variant", "rescale", "--u", "nan"], "schedule requires"),
     ], ids=["shrunk-no-nu", "truncated-no-t0", "epsilon-no-eps", "iterations-0", "splits-0",
             "tree-splits-minus-1", "default-stump-splits-minus-1", "stump-splits-0",
             "logistic-regression-task", "exponential-regression-task", "t0-inf",
             "t-exponent-nan", "t-exponent-inf", "t-exponent-minus-inf", "t-exponent-negative",
-            "eps-inf", "u-nan"])
+            "t-bound-underflows", "eps-inf", "u-nan"])
     def test_train_flag_errors_exit_2(self, tmp_path, capsys, flags, message):
         data = write(tmp_path / "d.csv", "x,y\n0,1.0\n1,2.5\n2,-0.5\n")
         code = main(["train", "--data", data, "--model-out", str(tmp_path / "m.txt"), *flags])
@@ -381,6 +383,16 @@ class TestExitCodes:
         assert exc.value.code == EXIT_FLAGS
         assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
+
+    def test_bench_data_too_small_to_split_exits_3(self, tmp_path, capsys):
+        # 3 rows leave the test part empty; the split used to run only inside
+        # the experiment, where the error exited 2 as a flag error
+        data = write(tmp_path / "d.csv", "x,y\n0,1.0\n1,2.5\n2,-0.5\n")
+        code = main(["bench", "--data", data, "--task", "regression", "--runs", "1",
+                     "--k-max", "3", "--report-out", str(tmp_path / "r.csv")])
+        assert code == EXIT_DATA
+        assert "error: a split part would be empty for m=3" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_missing_download_exits_5(self, tmp_path, cache, capsys):
         url = (tmp_path / "missing.data").as_uri()

@@ -1,4 +1,5 @@
 import logging
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -25,7 +26,6 @@ from reboost.harness import (
     convergence_slope,
     metric_for_task,
     misclass_rate,
-    path_predictions,
     repeat_experiment,
     rmse,
     split_dataset,
@@ -157,7 +157,8 @@ class TestPathPredictions:
         data = toy_dataset(1)
         model, trace = train(data, TrainConfig(12, LossKind.SQUARED,
                                                StumpLearner(), Plain()), 0)
-        full = path_predictions(model, trace, data.features)
+        full = EnsembleModel.from_path(model.learners, trace,
+                                       n_features=model.n_features).predict(data.features)
         assert np.allclose(full, model.predict(data.features), rtol=1e-10)
 
     def test_curve_matches_manual_prefixes(self):
@@ -167,7 +168,8 @@ class TestPathPredictions:
                                                StumpLearner(), Plain()), 0)
         curve = validation_curve(model, trace, val)
         for k in (1, 4, 8):
-            preds = path_predictions(model, trace, val.features, k)
+            preds = EnsembleModel.from_path(model.learners, trace, k,
+                                            n_features=model.n_features).predict(val.features)
             assert curve[k - 1] == pytest.approx(rmse(preds, val.targets))
 
 
@@ -264,7 +266,9 @@ class TestTune:
             model, trace = train(tr, TrainConfig(15, LossKind.SQUARED,
                                                  StumpLearner(), Truncated(t0)), 0)
             for k in range(1, len(trace) + 1):
-                m = rmse(path_predictions(model, trace, va.features, k), va.targets)
+                prefix = EnsembleModel.from_path(model.learners, trace, k,
+                                                 n_features=model.n_features)
+                m = rmse(prefix.predict(va.features), va.targets)
                 key = (m, k, idx)
                 if best is None or key < best:
                     best = key
@@ -282,6 +286,22 @@ class TestTune:
                                                  StumpLearner(), Shrunk(nu)), 0)
             curve = validation_curve(model, trace, va)
             assert res.val_metric <= curve.min() + 1e-15
+
+    @pytest.mark.parametrize("method", ["plain", "shrunk"])
+    def test_returns_the_model_of_the_chosen_prefix(self, method):
+        # orange at k_max 10: both methods stop before k_max on this draw
+        tr, va = gen_orange(100, 1, 0), gen_orange(100, 1, 1)
+        config = (LossKind.LOGISTIC, StumpLearner())
+        res = tune(tr, va, method, TuningGrid(k_max=10), *config)
+        assert res.best_k < 10
+        assert len(res.model) == res.best_k
+        variant = dict(variant_cells(method))[res.params]
+        model, trace = train(tr, TrainConfig(10, *config, variant))
+        prefix = EnsembleModel.from_path(model.learners, trace, res.best_k,
+                                         n_features=model.n_features)
+        X = gen_orange(50, 1, 2).features
+        assert res.model.predict(X).tobytes() == prefix.predict(X).tobytes()
+        assert res.val_metric == validation_curve(model, trace, va)[res.best_k - 1]
 
 
 class TestRepeatExperiment:
@@ -304,11 +324,29 @@ class TestRepeatExperiment:
         for seed in rep.seeds:
             tr, va, te = self.provider(seed)
             res = tune(tr, va, "plain", grid, LossKind.SQUARED, StumpLearner())
-            preds = path_predictions(res.model, res.trace, te.features, res.best_k)
+            preds = res.model.predict(te.features)
             per_run.append(rmse(preds, te.targets))
         vals = np.array(per_run)
         assert rep.rows[0].mean_metric == pytest.approx(vals.mean(), rel=1e-12)
         assert rep.rows[0].stderr == pytest.approx(vals.std(ddof=1) / 2.0, rel=1e-12)
+
+    def test_method_with_no_completed_run_raises(self, monkeypatch):
+        # shrunk and epsilon fail on every seed, truncated on the first only
+        real_tune, calls = harness.tune, []
+
+        def tune(tr, va, method, *args):
+            calls.append(method)
+            first_truncated = method == "truncated" and calls.count(method) == 1
+            if method in ("shrunk", "epsilon") or first_truncated:
+                raise harness.TuningError("every grid cell failed")
+            return real_tune(tr, va, method, *args)
+
+        monkeypatch.setattr(harness, "tune", tune)
+        with pytest.raises(harness.TuningError, match=re.escape(
+                "every run failed for methods: ['shrunk', 'epsilon']")):
+            repeat_experiment(self.provider, ("plain", "shrunk", "truncated", "epsilon"),
+                              TuningGrid(k_max=3), LossKind.SQUARED, StumpLearner(), 2, 0)
+        assert calls.count("truncated") == 2
 
     def test_method_list_respected(self):
         rep = repeat_experiment(self.provider, METHODS[:2], TuningGrid(k_max=5),

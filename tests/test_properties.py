@@ -28,7 +28,6 @@ from reboost.boosters import (
 )
 from reboost.cli.model_io import model_from_text, model_to_text
 from reboost.core import Dataset, EnsembleModel, InvalidInputError, Task
-from reboost.harness import path_predictions
 from reboost.learners import IntervalAtom
 from reboost.losses import LossKind, empirical_risk
 from reboost.synthdata import (
@@ -105,7 +104,8 @@ def test_predict_risk_equals_trace_risk(variant, hyp):
 def test_full_path_replay_equals_predict(variant, hyp):
     data, _, model, trace = hyp.draw(trained_runs(variant))
     preds = model.predict(data.features)
-    replayed = path_predictions(model, trace, data.features)
+    replayed = EnsembleModel.from_path(model.learners, trace,
+                                       n_features=model.n_features).predict(data.features)
     scale = np.max(np.abs(preds), initial=1.0)
     assert np.allclose(replayed, preds, rtol=1e-9, atol=1e-12 * scale)
 
@@ -119,17 +119,19 @@ def test_every_prefix_predicts_as_the_replay(variant, hyp):
     # largest prediction along the path so far
     data, _, model, trace = hyp.draw(trained_runs(variant))
     X = data.features
+    def prefix(k):
+        return EnsembleModel.from_path(model.learners, trace, k, n_features=model.n_features)
+
     replay = np.zeros(data.n_samples)
-    assert np.array_equal(path_predictions(model, trace, X, 0), replay)
+    assert np.array_equal(prefix(0).predict(X), replay)
     scale = 1.0
     for k, (rec, learner) in enumerate(zip(trace.records, model.learners), 1):
         replay = (1.0 - rec.alpha) * replay + rec.beta * learner.evaluate(X)
         scale = max(scale, np.max(np.abs(replay)))
-        assert np.allclose(path_predictions(model, trace, X, k), replay,
-                           rtol=1e-9, atol=1e-12 * scale)
+        assert np.allclose(prefix(k).predict(X), replay, rtol=1e-9, atol=1e-12 * scale)
     for k in (-1, len(trace) + 1):
         with pytest.raises(InvalidInputError, match=f"prefix {k} outside the recorded path"):
-            EnsembleModel.from_path(model.learners, trace, k, n_features=model.n_features)
+            prefix(k)
 
 
 def test_distinct_trees_predict_as_the_per_term_sum():
