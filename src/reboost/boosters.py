@@ -173,7 +173,7 @@ class _FitSelector:
         else:
             learner = fit_tree(self.index, residuals, self.spec.splits)
         gvals = learner.evaluate(self.index.X)
-        if not np.any(gvals != 0.0):
+        if not gvals.any():  # -0.0 counts as zero, NaN does not
             return None, None
         return learner, gvals
 

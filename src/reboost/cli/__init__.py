@@ -204,6 +204,24 @@ def cmd_bench(args) -> int:
     return _run_experiment(args, provider, grid, loss, boosters.StumpLearner())
 
 
+def _slope(excess: np.ndarray, k_lo: int, k_hi: int, stopped_early) -> tuple[float, str]:
+    """(slope, printed slope) of the excess risk over k in [k_lo, k_hi].
+
+    The instance is noise-free, so an excess risk <= 0 means the fit is
+    exact; a log-log slope through it, or through fewer than 3 points,
+    measures nothing, and the slope is nan, printed as n/a with the reason.
+    """
+    exact = np.flatnonzero(excess <= 0.0)
+    if not exact.size and k_hi - k_lo >= 2:
+        slope = harness.convergence_slope(excess, k_lo, k_hi)
+        return slope, f"{slope:.4f}"
+    why = [f"exact at k={exact[0] + 1}" if exact.size
+           else f"fewer than 3 steps in k={k_lo}..{k_hi}"]
+    if stopped_early:
+        why.append(f"stopped early: {stopped_early}")
+    return float("nan"), f"n/a ({'; '.join(why)})"
+
+
 def cmd_convergence(args) -> int:
     spec = synthdata.SparseDictionarySpec(args.samples, args.atoms,
                                           args.sparsity, args.coef_norm)
@@ -221,11 +239,8 @@ def cmd_convergence(args) -> int:
         with _phase(EXIT_TRAIN, InvalidInputError, InvalidSpecError):
             _, trace = boosters.train(data, config, args.seed)
         excess = boosters.excess_risk_trace(trace, h_risk)
-        try:
-            slope = harness.convergence_slope(excess, k_lo, min(k_hi, len(excess)))
-        except InvalidInputError:
-            slope = float("nan")
-        print(f"{name}: iterations={len(excess)} slope={slope:.4f}")
+        slope, shown = _slope(excess, k_lo, min(k_hi, len(excess)), trace.stopped_early)
+        print(f"{name}: iterations={len(excess)} slope={shown}")
         rows.extend((name, k, e, slope) for k, e in enumerate(excess.tolist(), start=1))
 
     if args.report_out:

@@ -11,6 +11,13 @@ against pseudo-residuals, which is the practical surrogate for selecting
 the dictionary element with the largest normalized negative-gradient inner
 product (for two-leaf partitions the two selections coincide; see tests).
 
+A node search returns its best split's SSE reduction, taken from the prefix
+sums it already holds. A tree splits a node only when that reduction is
+above ``_MIN_GAIN_REL`` of the node's SSE. One bound per fit,
+2 * _MIN_GAIN_REL * (r @ r), lies above that threshold at every node, so a
+reduction above the bound is accepted without reading the node's rows; the
+rest get the exact SSE check. The bound therefore never changes a decision.
+
 A tree is evaluated without row subsets: each split is one full-width
 select over all rows between its children's values, so a J-split tree
 costs J selects. For the J <= 4 trees the experiments and the CLI default
@@ -127,7 +134,11 @@ class RegressionTree:
         return np.full(X.shape[0], value[0]) if self.nodes[0].is_leaf else value[0]
 
     def describe(self) -> str:
-        return f"tree[J{self.splits}]"
+        """``tree[J<splits>:f<feature>@<threshold>,...]``, the splits in node
+        order; ``tree[J0]`` for a single leaf."""
+        splits = ",".join(f"f{n.feature}@{n.threshold:.6g}"
+                          for n in self.nodes if not n.is_leaf)
+        return f"tree[J{self.splits}:{splits}]" if splits else "tree[J0]"
 
 
 @dataclass(frozen=True)
@@ -189,11 +200,15 @@ class SplitIndex:
         if X.shape[0] < 2:
             raise InvalidInputError("need at least 2 rows")
         self.X = X
-        columns = np.ascontiguousarray(X.T)
-        order = np.argsort(columns, axis=1, kind="stable")
-        values = np.take_along_axis(columns, order, axis=1)
+        self.columns = np.ascontiguousarray(X.T)  # row f: feature f of every row
+        order = np.argsort(self.columns, axis=1, kind="stable")
+        values = np.take_along_axis(self.columns, order, axis=1)
         self.root = NodeSlice(np.arange(X.shape[0]), order, values,
                               values[:, :-1] != values[:, 1:])
+        # left counts 1..n-1 and right counts n-1..1 of the split positions;
+        # a node of m rows uses the first and the last m - 1 of them
+        self._left_counts = np.arange(1.0, X.shape[0])  # float: no cast per element
+        self._right_counts = self._left_counts[::-1].copy()
 
     @property
     def n_rows(self) -> int:
@@ -204,10 +219,9 @@ class SplitIndex:
         """The slices of the rows of ``node`` with x[feature] <= threshold
         (left) and of the rest (right)."""
         rows, order, values, _ = node
-        go_left = self.X[rows, feature] <= threshold
-        goes_left = np.zeros(self.n_rows, dtype=bool)  # side of each row
-        goes_left[rows[go_left]] = True
-        keep = goes_left[order].ravel()
+        column = self.columns[feature]
+        go_left = column[rows] <= threshold
+        keep = (column[order] <= threshold).ravel()  # side of each sorted entry
         return (_child_slice(keep, rows[go_left], order, values),
                 _child_slice(~keep, rows[~go_left], order, values))
 
@@ -215,25 +229,25 @@ class SplitIndex:
         """Best least-squares split of the rows of ``node`` against
         residuals ``r``, over every feature/midpoint pair.
 
-        Returns (score, feature, threshold, left_mean, right_mean) where
-        score = S_L^2/n_L + S_R^2/n_R; maximizing the score minimizes the
-        split SSE. Returns None when no feature has two distinct values
-        among the rows. Ties are broken toward the lowest feature index,
-        then the lowest threshold.
+        Returns (reduction, feature, threshold, left_mean, right_mean), where
+        reduction = S_L^2/n_L + S_R^2/n_R - S^2/n is the drop of the node's
+        SSE that the split makes: the maximized score less the part every
+        split of the node shares. Returns None when no feature has two
+        distinct values among the rows. Ties are broken toward the lowest
+        feature index, then the lowest threshold.
         """
         rows, order, values, boundary = node
         if not boundary.any():
             return None
         total = r[rows].sum()
         m = order.shape[1]
-        counts = np.arange(1.0, m)  # float: no int-to-float cast per element
         left_sums = np.cumsum(r[order], axis=1)[:, :-1]
         # in place: at large m the (d, m) temporaries cost more than the sums
         score = np.multiply(left_sums, left_sums)
-        score /= counts
+        score /= self._left_counts[:m - 1]
         right = np.subtract(total, left_sums)
         right *= right
-        right /= m - counts
+        right /= self._right_counts[self.n_rows - m:]
         score += right
         score[~boundary] = -np.inf
         j, p = divmod(int(np.argmax(score)), m - 1)
@@ -242,7 +256,7 @@ class SplitIndex:
         if not (lo <= thr < hi):  # midpoint rounded onto a datum
             thr = lo
         n_left = p + 1
-        return (float(score[j, p]), j, float(thr),
+        return (float(score[j, p] - total ** 2 / m), j, float(thr),
                 float(left_sums[j, p] / n_left),
                 float((total - left_sums[j, p]) / (m - n_left)))
 
@@ -279,22 +293,39 @@ def fit_stump(index: SplitIndex, residuals) -> DecisionStump:
         mu = float(r.mean())
         return DecisionStump(0, float(index.X[0, 0]), mu, mu)
     _, j, thr, _, _ = found
-    left = index.X[:, j] <= thr
+    left = index.columns[j] <= thr
     # leaf means recomputed from the partition masks (not the prefix sums)
     # so they match a direct exhaustive scan bit for bit
-    return DecisionStump(j, thr, float(r[left].mean()), float(r[~left].mean()))
+    return DecisionStump(j, thr, _mean(r[left]), _mean(r[~left]))
 
 
-def _leaf_split(index: SplitIndex, r: np.ndarray, node: NodeSlice):
+def _mean(values: np.ndarray) -> float:
+    """``values.mean()`` by its own arithmetic (a pairwise sum, then one
+    division by the count) without its wrapper's checks."""
+    return float(np.add.reduce(values) / values.size)
+
+
+def _leaf_split(index: SplitIndex, r: np.ndarray, node: NodeSlice, bound: float):
     """(SSE reduction, best split, node) of one leaf, or (0.0, None, node)
-    when no split reduces its SSE by more than ``_MIN_GAIN_REL`` of it."""
+    when no split reduces its SSE by more than ``_MIN_GAIN_REL`` of it.
+
+    ``bound`` is ``2 * _MIN_GAIN_REL * (r @ r)`` over all rows. A leaf's SSE
+    is at most the sum of its squared residuals, so at most r @ r; the
+    factor 2 absorbs the rounding of both sums, and rounding a product is
+    monotone. So a reduction above ``bound`` is above ``_MIN_GAIN_REL`` of
+    the computed SSE too, and is accepted without reading the leaf's rows.
+    Any other reduction gets the exact check, so no decision changes. When
+    r @ r overflows the bound is inf and every leaf gets the exact check.
+    """
     found = index.best_split(r, node)  # None for a one-row leaf too
     if found is not None:
+        reduction = found[0]
+        if reduction > bound:
+            return reduction, found, node
         sub_r = r[node.rows]
         sse = float(np.sum((sub_r - sub_r.mean()) ** 2))
-        reduction = found[0] - sub_r.sum() ** 2 / sub_r.size
         if reduction > _MIN_GAIN_REL * sse:
-            return float(reduction), found, node
+            return reduction, found, node
     return 0.0, None, node
 
 
@@ -313,8 +344,9 @@ def fit_tree(index: SplitIndex, residuals, splits: int) -> RegressionTree:
     if index.n_rows < splits + 1:
         raise InvalidInputError(f"need at least {splits + 1} rows for {splits} splits")
 
+    bound = 2 * _MIN_GAIN_REL * float(r @ r)  # accepts a split unchecked; see _leaf_split
     nodes: list[TreeNode] = [TreeNode(value=float(r.mean()))]
-    leaves = {0: _leaf_split(index, r, index.root)}  # leaf id -> _leaf_split of it
+    leaves = {0: _leaf_split(index, r, index.root, bound)}  # leaf id -> _leaf_split of it
     while True:
         # max keeps the first largest entry, so the earliest-created leaf wins ties
         target = max(leaves, key=lambda leaf: leaves[leaf][0])
@@ -328,6 +360,6 @@ def fit_tree(index: SplitIndex, residuals, splits: int) -> RegressionTree:
         if len(nodes) == 2 * splits + 1:  # the last split: its children go unsearched
             break
         for child_id, child in enumerate(index.partition(node, j, thr), start=left_id):
-            leaves[child_id] = _leaf_split(index, r, child)
+            leaves[child_id] = _leaf_split(index, r, child, bound)
 
     return RegressionTree(tuple(nodes))

@@ -500,6 +500,22 @@ class TestWrittenCsv:
             assert all(same_float(row[2], e) for row, e in zip(mine, excess))
             assert len({row[3] for row in mine}) == 1
 
+    @pytest.mark.parametrize("k_max", [64, 256])
+    def test_convergence_prints_no_slope_through_an_exact_fit(self, tmp_path, capsys, k_max):
+        # plain boosting is exact at k = 4 on the orthonormal dictionary: at
+        # k_max 64 the slope window ends on a zero excess risk, at 256 it
+        # starts past k = 4
+        out = tmp_path / "curve.csv"
+        assert main(["convergence", "--k-max", str(k_max), "--report-out", str(out)]) == EXIT_OK
+        rescale, plain = capsys.readouterr().out.splitlines()
+        assert plain == ("plain: iterations=4 slope=n/a (exact at k=4; "
+                         "stopped early: degenerate direction at iteration 5)")
+        rows = read_rows(out)[1:]
+        assert [row[3] for row in rows if row[0] == "plain"] == ["nan"] * 4
+        slopes = {float(row[3]) for row in rows if row[0] == "rescale"}
+        assert len(slopes) == 1 and slopes.pop() < 0.0
+        assert rescale.startswith(f"rescale: iterations={k_max} slope=-")
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_convergence_risk_overflow_exits_4(self, capsys):
         # coefficients near the float maximum: the squared-loss risk overflows

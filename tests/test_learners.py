@@ -171,7 +171,9 @@ class TestEvaluate:
             dict(value=1.0), dict(value=2.0), dict(value=3.0), dict(value=4.0),
         )
         tree = RegressionTree(nodes=tuple(TreeNode(**n) for n in nodes))
-        assert tree.splits == 3 and tree.describe() == "tree[J3]"
+        assert tree.splits == 3
+        assert tree.describe() == "tree[J3:f0@0,f1@-0.5,f1@0.5]"
+        assert RegressionTree((TreeNode(value=1.0),)).describe() == "tree[J0]"
 
         def manual(x):
             if x[0] <= 0.0:
@@ -493,6 +495,67 @@ class TestSplitIndexOracle:
         left = X[:, j] <= thr
         assert stump == DecisionStump(j, thr, float(r[left].mean()),
                                       float(r[~left].mean()))
+
+
+class TestGainBound:
+    """``fit_tree`` accepts a split without the exact SSE check when its
+    reduction is above 2 * _MIN_GAIN_REL * (r @ r); each case must still
+    build the resorting oracle's tree."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-160, 1e150], ids=["subnormal", "huge"])
+    @settings(max_examples=150, deadline=None)
+    @given(case=design_and_residuals())
+    def test_scaled_residuals_equal_resorting_oracle(self, scale, case):
+        # at 1e-160 every r_i^2, so r @ r, is subnormal and the bound is 0
+        X, r, splits = case
+        r = scale * r
+        splits = min(splits, X.shape[0] - 1)
+        assert fit_tree(SplitIndex(X), r, splits).nodes == resort_tree(X, r, splits)[0]
+
+    def test_leaves_with_constant_residuals_equal_resorting_oracle(self):
+        # residuals constant on each value of feature 0: once the tree has
+        # cut feature 0, a leaf's reduction is rounding noise below the bound
+        rng = np.random.default_rng(21)
+        for _ in range(150):
+            m, d = int(rng.integers(4, 60)), int(rng.integers(1, 4))
+            X = tied_design(rng, m, d)
+            levels = rng.choice([0.0, 0.1, -3.7, 1e-3, 2.0], size=int(rng.integers(1, 11)))
+            r = levels[X[:, 0].astype(int) % levels.size]
+            splits = min(4, m - 1)
+            assert fit_tree(SplitIndex(X), r, splits).nodes == resort_tree(X, r, splits)[0]
+
+    @staticmethod
+    def paired_case(rng):
+        """A design whose every value of feature 0 covers two rows, with
+        residuals c + delta, c - delta on them: every split leaves both means
+        at c, so its reduction is rounding noise that the exact check rejects."""
+        pairs = int(rng.integers(2, 20))
+        X = np.column_stack([np.repeat(rng.permutation(pairs), 2).astype(float),
+                             np.full(2 * pairs, 2.5)])
+        delta = rng.normal(size=pairs)
+        c = rng.choice([0.1, 0.3, 0.7, 1.1])
+        return X, np.column_stack([c + delta, c - delta]).ravel()
+
+    def test_rounding_noise_reductions_stay_rejected(self):
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            X, r = self.paired_case(rng)
+            tree = fit_tree(SplitIndex(X), r, 2)
+            assert tree.nodes == resort_tree(X, r, 2)[0]
+            assert tree.splits == 0
+
+    def test_fits_in_turn_on_one_index_equal_resorting_oracle(self):
+        # scaled and rounding-noise residuals in a random order on a shared
+        # index: no fit's bound or other state may carry into the next fit
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            X, noise = self.paired_case(rng)
+            index = SplitIndex(X)
+            for scale in rng.permutation([1e-160, 1e-3, 1.0, 1e150, 0.0]):
+                r = noise if scale == 0.0 else scale * rng.normal(size=X.shape[0])
+                assert fit_tree(index, r, 3).nodes == resort_tree(X, r, 3)[0]
+                assert fit_stump(index, r) == fit_stump(SplitIndex(X), r)
 
 
 @st.composite
