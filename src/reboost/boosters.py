@@ -3,9 +3,10 @@ pseudo-residuals, pick a step size, update the predictions. The additive
 model is built once, from the recorded path.
 
 Variants: plain line-search boosting; re-scale boosting (the composite
-estimator is multiplied by (1 - alpha_k) before each line search); shrunken
-steps nu * beta; interval-truncated line search with a shrinking bound; and
-fixed-size epsilon steps signed by the descent direction.
+estimator is multiplied by 1 - alpha_k, alpha_k = c/(k+u), before each
+line search); shrunken steps nu * beta; interval-truncated line search
+with a shrinking bound; and fixed-size epsilon steps signed by the
+descent direction.
 """
 
 from __future__ import annotations
@@ -32,40 +33,34 @@ from reboost.losses import LossKind, _residuals, _risk
 
 @dataclass(frozen=True)
 class ShrinkageSchedule:
-    """Per-iteration rescale degree alpha_k = c4 / (c5 * k + c6).
+    """Per-iteration rescale degree alpha_k = c / (k + u), k >= 1.
 
-    Construction only pins the shape (non-negative, non-increasing);
-    the [0, 1] range is enforced where a degree is actually evaluated,
-    so a schedule like 3/(k+1) is usable wherever its first degree is
-    never requested and fails loudly where it is. alpha_1 = 1 is legal:
-    it rescales the zero model f_0.
+    Checked once, at construction: c finite and >= 0, u > -1 and
+    c <= 1 + u (NaN fails). Then k + u > 0 and alpha_k is non-increasing
+    in k, from alpha_1 = c / (1 + u) <= 1 down towards 0, so every degree
+    lies in [0, 1]. alpha_1 = 1 is legal: it rescales the zero model f_0.
     """
 
-    c4: float
-    c5: float
-    c6: float
+    c: float
+    u: float
 
     def __post_init__(self):
-        if not (self.c4 >= 0 and self.c5 >= 0 and self.c5 + self.c6 > 0):  # NaN fails too
-            raise InvalidSpecError("schedule requires c4 >= 0, c5 >= 0, c5 + c6 > 0")
+        if not (0.0 <= self.c < np.inf and self.u > -1.0 and self.c <= 1.0 + self.u):
+            raise InvalidSpecError("schedule requires a finite c >= 0, u > -1 and c <= 1 + u "
+                                   f"in c/(k+u), got c = {self.c}, u = {self.u}")
 
     @classmethod
     def theorem(cls) -> "ShrinkageSchedule":
         """The 3/(k+3) schedule with the proven convergence guarantee."""
-        return cls(3.0, 1.0, 3.0)
+        return cls(3.0, 3.0)
 
     @classmethod
     def experimental(cls, u: float) -> "ShrinkageSchedule":
-        """The tunable 2/(k+u) family used in the benchmark experiments."""
-        return cls(2.0, 1.0, float(u))
+        """The tunable 2/(k+u) family used in the benchmark experiments, u >= 1."""
+        return cls(2.0, float(u))
 
     def alpha(self, k: int) -> float:
-        if k < 1:
-            raise InvalidInputError(f"iteration index must be >= 1, got {k}")
-        a = self.c4 / (self.c5 * k + self.c6)
-        if not (0.0 <= a <= 1.0):
-            raise InvalidSpecError(f"alpha_{k} = {a} outside [0, 1]")
-        return a
+        return self.c / (k + self.u)
 
 
 @dataclass(frozen=True)

@@ -57,13 +57,13 @@ EXIT_CODES = (  # (error types, exit code), for errors no phase has tagged
 
 
 @contextlib.contextmanager
-def _phase(code: int, *errors):
-    """Tag ``errors`` raised inside the block with exit ``code``: reading an
-    input file (3) or training (4) turns the library's flag errors into
-    failures of that phase."""
+def _phase(code: int):
+    """Tag an ``InvalidInputError`` raised inside the block with exit
+    ``code``: reading an input file (3) or training (4) turns the library's
+    flag errors into failures of that phase."""
     try:
         yield
-    except errors as err:
+    except InvalidInputError as err:
         err.exit_code = code
         raise
 
@@ -115,9 +115,9 @@ def cmd_train(args) -> int:
         raise InvalidSpecError(f"{loss.value} loss needs --task classification")
     config = boosters.TrainConfig(args.iterations, loss, _learner_spec(args),
                                   _build_variant(args))
-    with _phase(EXIT_DATA, InvalidInputError):
+    with _phase(EXIT_DATA):
         data = data_io.load_dataset_csv(args.data, task)
-    with _phase(EXIT_TRAIN, InvalidInputError, InvalidSpecError):
+    with _phase(EXIT_TRAIN):
         model, trace = boosters.train(data, config, args.seed)
     model_io.save_model(args.model_out, model, config.loss, data.task, args.seed)
     if args.trace_out:
@@ -130,7 +130,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    with _phase(EXIT_DATA, InvalidInputError):
+    with _phase(EXIT_DATA):
         model = model_io.load_model(args.model)[0]
         preds = model.predict(data_io.load_feature_matrix(args.data, model.n_features))
     if args.truncate is not None:
@@ -196,7 +196,7 @@ def cmd_simulate(args) -> int:
 def cmd_bench(args) -> int:
     grid = harness.TuningGrid(k_max=1000 if args.k_max is None else args.k_max)
     task = _task(args.task)
-    with _phase(EXIT_DATA, InvalidInputError):
+    with _phase(EXIT_DATA):
         data = data_io.load_dataset_csv(args.data, task)
         harness.split_dataset(data, args.seed)  # raises if a part would be empty
     loss = LossKind.LOGISTIC if task is Task.CLASSIFICATION else LossKind.SQUARED
@@ -236,7 +236,7 @@ def cmd_convergence(args) -> int:
     rows = []
     for name, variant in variants.items():
         config = boosters.TrainConfig(args.k_max, LossKind.SQUARED, learner, variant)
-        with _phase(EXIT_TRAIN, InvalidInputError, InvalidSpecError):
+        with _phase(EXIT_TRAIN):
             _, trace = boosters.train(data, config, args.seed)
         excess = boosters.excess_risk_trace(trace, h_risk)
         slope, shown = _slope(excess, k_lo, min(k_hi, len(excess)), trace.stopped_early)
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learner", choices=("stump", "tree"), default="stump")
     p.add_argument("--splits", type=int, default=4, help="tree split count J")
     p.add_argument("--variant", choices=harness.METHODS, default="rescale")
-    p.add_argument("--u", type=float, help="rescale schedule 2/(k+u)")
+    p.add_argument("--u", type=float, help="rescale schedule 2/(k+u), u >= 1")
     p.add_argument("--nu", type=float, help="shrunk step factor in (0,1]")
     p.add_argument("--t0", type=float, help="truncated search bound scale")
     p.add_argument("--t-exponent", type=float, default=2.0 / 3.0,

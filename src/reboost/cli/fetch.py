@@ -6,8 +6,8 @@ Sources and checksums live in ``datasets.cfg`` next to this package so
 they can be repointed without code changes. Entries whose checksum is
 ``unpinned`` are accepted on first fetch with a warning that logs the
 computed digest (for later pinning). Raw downloads are cached under
-$REBOOST_CACHE_DIR (default ~/.cache/reboost); a warm cache needs no
-network.
+$REBOOST_CACHE_DIR (default ~/.cache/reboost), one file per source URL,
+moved into place once fully written; a warm cache needs no network.
 """
 
 from __future__ import annotations
@@ -82,7 +82,12 @@ def _download(url: str, dest: Path) -> None:
             payload = response.read()
     except (urllib.error.URLError, OSError, ValueError) as err:
         raise NetworkError(f"download failed for {url}: {err}") from err
-    dest.write_bytes(payload)
+    part = dest.with_name(f"{dest.name}.{os.getpid()}.part")
+    try:
+        part.write_bytes(payload)
+        os.replace(part, dest)
+    finally:
+        part.unlink(missing_ok=True)
 
 
 def _verify(path: Path, pinned: str, name: str) -> None:
@@ -117,7 +122,7 @@ def fetch_dataset(name: str, out_dir, url_override: str | None = None,
     fmt = entry.get("format")
     if fmt not in _CONVERTERS:
         raise TableError(f"{where}: unknown format {fmt!r}; known: {sorted(_CONVERTERS)}")
-    raw = cache_dir() / "raw" / f"{name}.data"
+    raw = cache_dir() / "raw" / f"{hashlib.sha256(url.encode('utf-8')).hexdigest()}.data"
 
     if not raw.exists():
         _download(url, raw)

@@ -3,19 +3,22 @@
 Models are persisted as their effective per-term coefficients, one term
 record per line, floats printed with 17 significant digits so coefficients
 and predictions round-trip exactly. A CRC-32 footer over all preceding
-lines guards against truncation and corruption. A stump or tree record
-may carry a legacy ``scale`` field, which the loader folds into the leaf
-values.
+lines guards against truncation and corruption.
 
-The loader checks every term record: its JSON numbers are finite; stump,
+Every line between the format line and the footer is a term or one of
+the six header fields, each present once. A margin loss needs
+``task=binary-classification``; ``features=`` must be >= 1. The model has
+no intercept: ``intercept=0`` is written so that files load across
+versions, and no other value loads. A term record holds exactly the keys
+of its kind in ``_RECORD_KEYS``, so one with another key, such as the
+``scale`` of old files, is rejected. Its JSON numbers are finite; stump,
 atom and node ``feature``, tree child indices and ``splits`` are JSON
-integers (not bools); thresholds, leaf and atom values, ``low``,
-``high`` and ``scale`` are finite JSON numbers (not strings or bools),
-and so is each leaf value times ``scale``; a stump or atom feature is
->= 0; each tree node is a leaf or a split whose children follow it, and
-each node but the root is the child of exactly one split; and
-``splits`` is the count of split nodes. It also needs ``features=``
->= 1. Violations raise ``InvalidInputError``.
+integers (not bools); thresholds, leaf and atom values, ``low`` and
+``high`` are JSON numbers (not strings or bools); a stump or atom feature
+is >= 0; each tree node is a leaf or a split whose children follow it,
+and each node but the root is the child of exactly one split; and
+``splits`` is the count of split nodes. Violations raise
+``InvalidInputError``.
 """
 
 from __future__ import annotations
@@ -30,10 +33,7 @@ from reboost.losses import LossKind
 
 FORMAT_NAME = "reboost-model"
 FORMAT_VERSION = 1
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+_HEADER = ("loss=", "task=", "features=", "seed=", "intercept=", "terms=")
 
 
 def _term_line(coef: float, learner) -> str:
@@ -56,7 +56,7 @@ def _term_line(coef: float, learner) -> str:
         }
     else:
         raise InvalidInputError(f"cannot serialize learner type {type(learner).__name__}")
-    return f"term {_fmt(coef)} {json.dumps(payload, separators=(',', ':'))}"
+    return f"term {float(coef):.17g} {json.dumps(payload, separators=(',', ':'))}"
 
 
 def _int(value, what: str) -> int:
@@ -75,35 +75,37 @@ def _float(value, what: str) -> float:
     return float(value)
 
 
+_RECORD_KEYS = {  # kind -> the keys of its term records
+    "stump": {"kind", "feature", "threshold", "left", "right"},
+    "tree": {"kind", "splits", "nodes"},
+    "atom": {"kind", "feature", "low", "high", "value"},
+}
+
+
 def _parse_learner(payload: dict):
     kind = payload.get("kind")
-    scale = _float(payload.get("scale", 1.0), "scale")
-
-    def scaled(value, what: str) -> float:
-        value = scale * _float(value, what)
-        if math.isinf(value):
-            raise InvalidInputError(f"model record {what} times scale {scale!r} is not finite")
-        return value
-
+    if kind not in _RECORD_KEYS:
+        raise InvalidInputError(f"unknown learner kind {kind!r}")
+    if payload.keys() != _RECORD_KEYS[kind]:
+        raise InvalidInputError(f"{kind} record keys {sorted(payload)} are not exactly "
+                                f"{sorted(_RECORD_KEYS[kind])}")
     if kind == "stump":
         return DecisionStump(_int(payload["feature"], "feature"),
                              _float(payload["threshold"], "threshold"),
-                             scaled(payload["left"], "left"), scaled(payload["right"], "right"))
+                             _float(payload["left"], "left"), _float(payload["right"], "right"))
     if kind == "tree":
         tree = RegressionTree(tuple(
             TreeNode(_int(f, "node feature"), _float(t, "node threshold"),
-                     _int(l, "node child"), _int(r, "node child"), scaled(v, "node value"))
+                     _int(l, "node child"), _int(r, "node child"), _float(v, "node value"))
             for f, t, l, r, v in payload["nodes"]
         ))
         if _int(payload["splits"], "splits") != tree.splits:
             raise InvalidInputError(f"tree record says {payload['splits']} splits, "
                                     f"its nodes hold {tree.splits}")
         return tree
-    if kind == "atom":
-        return IntervalAtom(_float(payload["low"], "low"), _float(payload["high"], "high"),
-                            _float(payload["value"], "value"),
-                            feature=_int(payload["feature"], "feature"))
-    raise InvalidInputError(f"unknown learner kind {kind!r}")
+    return IntervalAtom(_float(payload["low"], "low"), _float(payload["high"], "high"),
+                        _float(payload["value"], "value"),
+                        feature=_int(payload["feature"], "feature"))
 
 
 def model_to_text(model: EnsembleModel, loss: LossKind, task: Task, seed: int) -> str:
@@ -113,7 +115,7 @@ def model_to_text(model: EnsembleModel, loss: LossKind, task: Task, seed: int) -
         f"task={task.value}",
         f"features={model.n_features}",
         f"seed={seed}",
-        f"intercept={_fmt(model.intercept)}",
+        "intercept=0",
         f"terms={len(model)}",
     ]
     lines.extend(_term_line(c, g) for c, g in zip(model.coefs, model.learners))
@@ -140,20 +142,16 @@ def model_from_text(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
         ) from None
 
 
-def _finite(text: str, what: str) -> float:
+def _finite(text: str) -> float:
+    """A term coefficient or a JSON number of a term record: NaN, infinities
+    and overflowing literals such as 1e999 are rejected."""
     value = float(text)
     if not math.isfinite(value):
-        raise InvalidInputError(f"model {what} is not finite: {text}")
+        raise InvalidInputError(f"model term value is not finite: {text}")
     return value
 
 
-def _finite_term_value(text: str) -> float:
-    return _finite(text, "term value")
-
-
-# NaN, Infinity and overflowing literals such as 1e999 are all rejected
-_TERM_DECODER = json.JSONDecoder(parse_float=_finite_term_value,
-                                 parse_constant=_finite_term_value)
+_TERM_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
 
 
 def _parse_model(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
@@ -174,18 +172,21 @@ def _parse_model(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
     if int(header[1]) != FORMAT_VERSION:
         raise InvalidInputError(f"unsupported model format version {header[1]}")
 
-    fields = {}
-    term_lines = []
-    for line in lines[1:-1]:
-        if line.startswith("term "):
-            term_lines.append(line)
-        else:
-            key, _, value = line.partition("=")
-            fields[key] = value
-    for key in ("loss", "task", "features", "seed", "intercept", "terms"):
-        if key not in fields:
-            raise InvalidInputError(f"model file has no {key}= line")
+    term_lines = [line for line in lines[1:-1] if line.startswith("term ")]
+    parts = [line.partition("=") for line in lines[1:-1] if not line.startswith("term ")]
+    keys = [key + eq for key, eq, _ in parts]
+    if sorted(keys) != sorted(_HEADER):
+        raise InvalidInputError(f"model file header lines {keys} are not each of "
+                                f"{list(_HEADER)} once")
+    fields = {key: value for key, _, value in parts}
 
+    loss = LossKind(fields["loss"])
+    task = Task(fields["task"])
+    if loss.is_classification and task is not Task.CLASSIFICATION:
+        raise InvalidInputError(f"model loss={loss.value} needs "
+                                f"task={Task.CLASSIFICATION.value}, got task={task.value}")
+    if float(fields["intercept"]) != 0.0:
+        raise InvalidInputError(f"model intercept must be 0, got {fields['intercept']}")
     n_features = int(fields["features"])
     if n_features < 1:
         raise InvalidInputError(f"model features= must be >= 1, got {n_features}")
@@ -195,12 +196,8 @@ def _parse_model(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
             f"model declares {declared} terms but has {len(term_lines)}"
         )
     terms = [line.split(" ", 2)[1:] for line in term_lines]  # (coef, payload) texts
-    model = EnsembleModel(n_features, _finite(fields["intercept"], "intercept"),
-                          [_finite(coef, "coefficient") for coef, _ in terms],
+    model = EnsembleModel(n_features, [_finite(coef) for coef, _ in terms],
                           [_parse_learner(_TERM_DECODER.decode(p)) for _, p in terms])
-
-    loss = LossKind(fields["loss"])
-    task = Task(fields["task"])
     return model, loss, task, int(fields["seed"])
 
 

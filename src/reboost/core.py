@@ -138,7 +138,7 @@ class TrainTrace:
 
 
 class EnsembleModel:
-    """Additive model: intercept + sum(coefs[j] * learners[j](x)).
+    """Additive model: sum(coefs[j] * learners[j](x)).
 
     A value built once, with read-only ``coefs``. ``predict`` evaluates each
     distinct learner once: learners are frozen dataclasses, so terms whose
@@ -146,9 +146,8 @@ class EnsembleModel:
     of their coefficients.
     """
 
-    def __init__(self, n_features: int, intercept: float, coefs, learners):
+    def __init__(self, n_features: int, coefs, learners):
         self.n_features = n_features
-        self.intercept = float(intercept)
         self.coefs = _readonly(np.array(coefs, dtype=float))
         self.learners = tuple(learners)
         if self.coefs.shape != (len(self.learners),):
@@ -170,7 +169,7 @@ class EnsembleModel:
             raise InvalidInputError(f"alpha_{bad[0] + 1} = {alphas[bad[0]]} outside [0, 1]")
         keep = np.ones(k)  # term j keeps prod_{i=j+1..k} (1 - alpha_i)
         keep[:-1] = np.cumprod(1.0 - alphas[:0:-1])[::-1]
-        return cls(n_features, 0.0, trace.betas[:k] * keep, learners[:k])
+        return cls(n_features, trace.betas[:k] * keep, learners[:k])
 
     def __len__(self) -> int:
         return len(self.learners)
@@ -188,7 +187,7 @@ class EnsembleModel:
         acc = np.zeros(X.shape[0])
         for coef, learner in zip(coefs, slots):
             acc += coef * learner.evaluate(X)
-        return self.intercept + acc
+        return acc
 
 
 def truncate_predictions(preds, level: float) -> np.ndarray:

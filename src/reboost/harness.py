@@ -215,10 +215,13 @@ def repeat_experiment(provider, methods, grid: TuningGrid, loss, learner,
 
     ``provider(seed)`` must return (train, validation, test) datasets.
     Failed method-runs are excluded from the statistics and counted; a
-    method with no completed run raises ``TuningError``.
+    method with no completed run raises ``TuningError``. A method named
+    twice raises ``InvalidInputError``: its runs would count twice.
     """
     if runs < 1:
         raise InvalidInputError("runs must be >= 1")
+    if len(set(methods)) != len(methods):
+        raise InvalidInputError(f"a method is named more than once in {list(methods)}")
     seeds = tuple(base_seed + i for i in range(runs))
     results: dict[str, list[tuple[float, str, int]]] = {m: [] for m in methods}
     failures = 0
@@ -253,7 +256,7 @@ def repeat_experiment(provider, methods, grid: TuningGrid, loss, learner,
 def convergence_slope(excess, k_lo: int, k_hi: int) -> float:
     """OLS slope of log(excess_k) on log(k) for k in [k_lo, k_hi].
 
-    Entries are floored at 1e-300 before taking logs.
+    Every excess in the window must be > 0; one <= 0 marks an exact fit.
     """
     vals = np.asarray(excess, dtype=float)
     if not (1 <= k_lo < k_hi <= vals.size):
@@ -261,8 +264,8 @@ def convergence_slope(excess, k_lo: int, k_hi: int) -> float:
     window = vals[k_lo - 1:k_hi]
     if window.size < 3:
         raise InvalidInputError("need at least 3 points to fit a slope")
-    if np.any(window <= 0.0):
-        window = np.maximum(window, 1e-300)
+    if not (window > 0.0).all():  # NaN fails too
+        raise InvalidInputError(f"excess risk must be > 0 in the window [{k_lo}, {k_hi}]")
     lx = np.log(np.arange(k_lo, k_hi + 1, dtype=float))
     ly = np.log(window)
     lx = lx - lx.mean()

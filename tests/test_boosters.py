@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reboost import boosters
 from reboost.boosters import (
@@ -53,21 +55,44 @@ class TestShrinkageSchedule:
         assert ShrinkageSchedule.experimental(1.0).alpha(3) == pytest.approx(0.5)
 
     def test_alpha_nonincreasing(self):
-        s = ShrinkageSchedule(2.0, 1.0, 5.0)
+        s = ShrinkageSchedule(2.0, 5.0)
         alphas = [s.alpha(k) for k in range(1, 200)]
         assert all(a >= b for a, b in zip(alphas[:-1], alphas[1:]))
         assert all(0.0 <= a < 1.0 for a in alphas)
 
-    def test_out_of_range_degree_rejected_on_evaluation(self):
-        s = ShrinkageSchedule(3.0, 1.0, 1.0)  # alpha_1 = 1.5
+    def test_out_of_range_degree_rejected_at_construction(self):
+        with pytest.raises(InvalidSpecError, match=r"c <= 1 \+ u in c/\(k\+u\), got c = 3.0"):
+            ShrinkageSchedule(3.0, 1.0)  # alpha_1 = 1.5
         with pytest.raises(InvalidSpecError):
-            s.alpha(1)
-        assert s.alpha(2) == 1.0
-        assert s.alpha(3) == pytest.approx(0.75)
+            ShrinkageSchedule.experimental(0.5)  # alpha_1 = 2 / 1.5
+        assert ShrinkageSchedule(2.0, 1.0).alpha(1) == 1.0  # the boundary c = 1 + u
 
     def test_invalid_schedules(self):
-        with pytest.raises(InvalidSpecError):
-            ShrinkageSchedule(1.0, 0.0, 0.0)
+        nan, inf = float("nan"), float("inf")
+        for c, u in [(-0.5, 1.0), (nan, 1.0), (inf, inf), (1.0, nan), (0.0, -1.0),
+                     (0.0, -inf), (1.0, -0.5)]:
+            with pytest.raises(InvalidSpecError, match="schedule requires"):
+                ShrinkageSchedule(c, u)
+
+    def test_presets_equal_the_three_coefficient_formula(self):
+        # c / (1.0 * k + u): the fixed middle coefficient of 1 is exact
+        for k in range(1, 5000):
+            assert ShrinkageSchedule.theorem().alpha(k) == 3.0 / (1.0 * k + 3.0)
+            for u in (1.0, 10.0, 1e6):
+                assert ShrinkageSchedule.experimental(u).alpha(k) == 2.0 / (1.0 * k + u)
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.floats(0.0, 1e300), u=st.floats(-1.0, 1e300, exclude_min=True),
+           k=st.integers(1, 2 ** 40))
+    def test_every_constructed_schedule_gives_degrees_in_range(self, c, u, k):
+        # a schedule that constructs never yields a degree outside [0, 1],
+        # and its degrees do not increase with k
+        try:
+            s = ShrinkageSchedule(c, u)
+        except InvalidSpecError:
+            assert c > 1.0 + u
+            return
+        assert 0.0 <= s.alpha(k + 1) <= s.alpha(k) <= s.alpha(1) <= 1.0
 
     def test_variant_parameter_ranges(self):
         with pytest.raises(InvalidSpecError):
@@ -206,7 +231,7 @@ class TestRescaleDynamics:
     def test_alpha_zero_schedule_bit_equals_plain(self):
         data = regression_data(seed=6)
         cfg_r = TrainConfig(30, LossKind.SQUARED, StumpLearner(),
-                            Rescale(ShrinkageSchedule(0.0, 1.0, 1.0)))
+                            Rescale(ShrinkageSchedule(0.0, 1.0)))
         cfg_p = TrainConfig(30, LossKind.SQUARED, StumpLearner(), Plain())
         model_r, trace_r = train(data, cfg_r, 0)
         model_p, trace_p = train(data, cfg_p, 0)
@@ -318,7 +343,7 @@ class TestExponentialSeparable:
 
 
 class TestFarMinimizer:
-    @pytest.mark.parametrize("variant", [Plain(), Shrunk(1.0), Rescale(ShrinkageSchedule(0, 1, 1))],
+    @pytest.mark.parametrize("variant", [Plain(), Shrunk(1.0), Rescale(ShrinkageSchedule(0.0, 1.0))],
                              ids=["plain", "shrunk-1", "rescale-alpha-0"])
     def test_exponential_trees_on_orange_finish(self, variant):
         # later steps have minimizers beyond 1e6 in magnitude, where an

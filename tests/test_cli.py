@@ -94,6 +94,71 @@ class TestPredictModelErrors:
         assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0.7", "-1", "nan", "1e-300"])
+    def test_intercept_other_than_zero(self, tmp_path, model_lines, value, capsys):
+        lines = [f"intercept={value}" if ln.startswith("intercept=") else ln
+                 for ln in model_lines]
+        assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: model intercept must be 0, got {value}\n"
+
+    def test_intercept_zero_is_written(self, model_lines):
+        assert model_lines.count("intercept=0") == 1
+
+    @pytest.mark.parametrize("payload, message", [
+        ('{"kind":"stump","feature":0,"threshold":0.0,"left":-2.0,"right":2.0,"scale":0.5}',
+         "stump record keys ['feature', 'kind', 'left', 'right', 'scale', 'threshold'] "
+         "are not exactly ['feature', 'kind', 'left', 'right', 'threshold']"),
+        ('{"kind":"atom","feature":0,"low":0.0,"high":1.0,"value":1.0,"note":"x"}',
+         "atom record keys ['feature', 'high', 'kind', 'low', 'note', 'value'] "
+         "are not exactly ['feature', 'high', 'kind', 'low', 'value']"),
+    ], ids=["legacy-scale", "unknown-key"])
+    def test_term_with_a_key_outside_its_kind(self, tmp_path, model_lines, payload,
+                                              message, capsys):
+        i = next(i for i, ln in enumerate(model_lines) if ln.startswith("term "))
+        lines = model_lines[:i] + [f"term 1 {payload}"] + model_lines[i + 1:]
+        assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edit, keys", [
+        (lambda ls: ls[:2] + ["loss=logistic"] + ls[2:], ["loss=", "loss="]),
+        (lambda ls: ls + ["seed=1"], ["terms=", "seed="]),
+        (lambda ls: ls + ["featurez=7"], ["terms=", "featurez="]),
+        (lambda ls: ls + ["garbage"], ["terms=", "garbage"]),
+        (lambda ls: ls + [""], ["terms=", ""]),
+        (lambda ls: [ln for ln in ls if not ln.startswith("intercept=")], ["seed=", "terms="]),
+    ], ids=["repeated-loss", "repeated-seed", "unknown-field", "bare-line", "blank-line",
+            "no-intercept"])
+    def test_each_header_field_once_and_nothing_else(self, tmp_path, model_lines, edit, keys,
+                                                     capsys):
+        # ``keys`` is a run of the header keys that the error lists, in file order
+        assert predict(tmp_path, with_checksum(edit(model_lines))) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: model file header lines [") and err.count("\n") == 1
+        assert str(keys)[1:-1] in err
+        assert err.endswith(" are not each of ['loss=', 'task=', 'features=', 'seed=', "
+                            "'intercept=', 'terms='] once\n")
+
+    @pytest.mark.parametrize("loss", ["logistic", "exponential"])
+    def test_margin_loss_needs_a_classification_task(self, tmp_path, model_lines, loss, capsys):
+        lines = [f"loss={loss}" if ln.startswith("loss=") else ln for ln in model_lines]
+        assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
+        assert capsys.readouterr().err == (f"error: model loss={loss} needs "
+                                           "task=binary-classification, got task=regression\n")
+
+    def test_hand_checksummed_mixed_header(self, tmp_path, model_lines, capsys):
+        # a second loss= line, a misspelt field and a bare line, with the
+        # checksum recomputed by hand: not a logistic model on a regression task
+        lines = []
+        for ln in model_lines:
+            lines.append(ln)
+            if ln == "loss=squared":
+                lines += ["loss=logistic", "featurez=7", "garbage"]
+        assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: model file header lines ['loss=', 'loss=', 'featurez=', 'garbage', "
+            "'task=', 'features=', 'seed=', 'intercept=', 'terms='] are not each of "
+            "['loss=', 'task=', 'features=', 'seed=', 'intercept=', 'terms='] once\n")
+
     def test_infinite_intercept(self, tmp_path, model_lines):
         lines = ["intercept=inf" if ln.startswith("intercept=") else ln
                  for ln in model_lines]
@@ -278,14 +343,24 @@ class TestExitCodes:
         assert code == EXIT_FLAGS
         assert "unknown dataset 'nosuch'" in capsys.readouterr().err
 
-    def test_first_degree_above_one_exits_4(self, tmp_path, capsys):
-        # u = 0.5 gives alpha_1 = 2 / (1 + 0.5) > 1
-        data = write(tmp_path / "d.csv", "x,y\n0,1.0\n1,2.5\n2,-0.5\n")
-        code = main(["train", "--data", data, "--variant", "rescale", "--u", "0.5",
-                     "--iterations", "3", "--model-out", str(tmp_path / "m.txt")])
-        assert code == EXIT_TRAIN
-        assert "alpha_1" in capsys.readouterr().err
+    def test_first_degree_above_one_exits_2_before_reading_data(self, tmp_path, capsys):
+        # u = 0.5 gives alpha_1 = 2 / (1 + 0.5) > 1: the schedule is a flag
+        # error, raised before the (missing) data file is opened
+        code = main(["train", "--data", str(tmp_path / "missing.csv"), "--variant", "rescale",
+                     "--u", "0.5", "--iterations", "3", "--model-out", str(tmp_path / "m.txt")])
+        assert code == EXIT_FLAGS
+        err = capsys.readouterr().err
+        assert err == ("error: schedule requires a finite c >= 0, u > -1 and c <= 1 + u "
+                       "in c/(k+u), got c = 2.0, u = 0.5\n")
         assert not (tmp_path / "m.txt").exists()
+
+    def test_repeated_method_exits_2(self, capsys):
+        code = main(["simulate", "--experiment", "orange", "--runs", "1", "--k-max", "3",
+                     "--methods", "plain", "plain"])
+        assert code == EXIT_FLAGS
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a method is named more than once in ['plain', 'plain']\n"
 
     @pytest.mark.parametrize("flags, message", [
         (["--variant", "shrunk"], "--nu is required"),

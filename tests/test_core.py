@@ -90,15 +90,15 @@ class TestDataset:
 
 class TestPredict:
     def test_empty_model_predicts_zero(self):
-        model = EnsembleModel(2, 0.0, [], [])
+        model = EnsembleModel(2, [], [])
         assert np.all(model.predict(np.ones((4, 2))) == 0.0)
 
     def test_single_term_linearity(self):
-        model = EnsembleModel(1, 0.0, [2.0], [stump(1.0)])
+        model = EnsembleModel(1, [2.0], [stump(1.0)])
         assert model.predict([[123.0]]) == pytest.approx(2.0)
 
     def test_dimension_mismatch(self):
-        model = EnsembleModel(3, 0.0, [], [])
+        model = EnsembleModel(3, [], [])
         with pytest.raises(InvalidInputError):
             model.predict(np.ones((2, 2)))
 
@@ -111,7 +111,7 @@ class TestPredict:
         expected = np.zeros(20)
         for coef, g in terms:
             expected += coef * g.evaluate(X)
-        model = EnsembleModel(3, 0.0, [c for c, _ in terms], [g for _, g in terms])
+        model = EnsembleModel(3, [c for c, _ in terms], [g for _, g in terms])
         got = model.predict(X)
         assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
 
@@ -127,18 +127,23 @@ class TestPredict:
             if i % 5 == 0:
                 steps.append((0.1, rng.normal()))
                 learners.append(CountingConstant(-0.25, calls))
-        path = EnsembleModel.from_path(learners, path_trace(steps), n_features=1)
-        model = EnsembleModel(1, 0.7, path.coefs, path.learners)
+        model = EnsembleModel.from_path(learners, path_trace(steps), n_features=1)
         got = model.predict(np.zeros((4, 1)))
         assert calls == [1.5, -0.25]
         ones = [g.value == 1.5 for g in model.learners]
-        expected = (model.intercept
-                    + math.fsum(c for c, one in zip(model.coefs, ones) if one) * 1.5
+        expected = (math.fsum(c for c, one in zip(model.coefs, ones) if one) * 1.5
                     + math.fsum(c for c, one in zip(model.coefs, ones) if not one) * -0.25)
         assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
+    def test_zero_predictions_are_positive_zero(self):
+        # the term evaluates to -1.0 * 0.0 = -0.0; the accumulator starts at
+        # +0.0, and +0.0 + -0.0 is +0.0, so no prediction is -0.0
+        model = EnsembleModel(1, [-1.0], [stump(0.0)])
+        got = model.predict(np.zeros((3, 1)))
+        assert got.tolist() == [0.0] * 3 and not np.signbit(got).any()
+
     def test_coefs_are_read_only(self):
-        model = EnsembleModel(1, 0.0, [2.0], [stump(1.0)])
+        model = EnsembleModel(1, [2.0], [stump(1.0)])
         with pytest.raises(ValueError):
             model.coefs[0] = 3.0
 
@@ -146,7 +151,7 @@ class TestPredict:
                              ids=["fewer", "more", "2-d"])
     def test_coefs_must_match_learners(self, coefs):
         with pytest.raises(InvalidInputError, match="coefs of shape"):
-            EnsembleModel(1, 0.0, coefs, [stump(1.0), stump(2.0)])
+            EnsembleModel(1, coefs, [stump(1.0), stump(2.0)])
 
 
 class TestRescale:
@@ -213,7 +218,7 @@ class TestCoefs:
 
     def test_single_term(self):
         model = EnsembleModel.from_path([stump(1.0)], path_trace([(1.0, 3.0)]), n_features=1)
-        assert model.coefs.tolist() == [3.0] and model.intercept == 0.0
+        assert model.coefs.tolist() == [3.0]
 
     def test_hand_expanded_recursion(self):
         # beta = (1, 1) with a 3/5 rescale in between: coefficients (0.4, 1)

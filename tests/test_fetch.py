@@ -1,5 +1,7 @@
 """The dataset converters of ``reboost fetch``, on inline text fixtures."""
 
+from hashlib import sha256
+
 import pytest
 
 from reboost.cli import EXIT_DATA, EXIT_OK, fetch, main
@@ -101,7 +103,7 @@ def test_malformed_download_exits_3_naming_the_line(tmp_path, monkeypatch, capsy
     code = main(["fetch", "--name", "spam", "--table", str(table),
                  "--out-dir", str(tmp_path / "out")])
     assert code == EXIT_DATA
-    raw_copy = tmp_path / "cache" / "raw" / "spam.data"
+    raw_copy = tmp_path / "cache" / "raw" / f"{sha256(raw.as_uri().encode()).hexdigest()}.data"
     assert capsys.readouterr().err == f"error: {raw_copy}: line 1: 3 fields, expected 58\n"
     assert not (tmp_path / "out" / "spam.csv").exists()
 
@@ -141,3 +143,47 @@ def test_malformed_table_exits_3_before_download(tmp_path, monkeypatch, capsys,
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "cache").exists()  # nothing was downloaded
     assert not (tmp_path / "out").exists()
+
+
+def toy_table(tmp_path, tag, rows):
+    """A table at ``<tag>.cfg`` whose [toy] entry reads ``<tag>.data``."""
+    raw = tmp_path / f"{tag}.data"
+    raw.write_text(f"a,b,target\n{rows}", encoding="utf-8")
+    table = tmp_path / f"{tag}.cfg"
+    table.write_text(f"[toy]\nurl = {raw.as_uri()}\nformat = csv-target-last\n",
+                     encoding="utf-8")
+    return raw, table
+
+
+def test_cache_is_keyed_by_url(tmp_path, monkeypatch):
+    # one cache, one dataset name, three sources: each fetch writes its own rows
+    monkeypatch.setenv(fetch.CACHE_ENV, str(tmp_path / "cache"))
+    _, first = toy_table(tmp_path, "first", "1,2,3\n")
+    _, second = toy_table(tmp_path, "second", "4,5,6\n")
+    override, _ = toy_table(tmp_path, "override", "7,8,9\n")
+    out = tmp_path / "out" / "toy.csv"
+    for argv, rows in [(["--table", str(first)], "1,2,3\n"),
+                       (["--table", str(second)], "4,5,6\n"),
+                       (["--table", str(first), "--url", override.as_uri()], "7,8,9\n"),
+                       (["--table", str(first)], "1,2,3\n")]:
+        assert main(["fetch", "--name", "toy", "--out-dir", str(out.parent), *argv]) == EXIT_OK
+        assert out.read_text(encoding="utf-8") == "a,b,target\n" + rows
+    assert len(list((tmp_path / "cache" / "raw").iterdir())) == 3
+
+
+def test_failed_cache_write_leaves_no_cached_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(fetch.CACHE_ENV, str(tmp_path / "cache"))
+    _, table = toy_table(tmp_path, "toy", "1,2,3\n")
+    argv = ["fetch", "--name", "toy", "--table", str(table), "--out-dir", str(tmp_path / "out")]
+
+    def replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(fetch.os, "replace", replace)
+    assert main(argv) == EXIT_DATA
+    assert "No space left on device" in capsys.readouterr().err
+    assert list((tmp_path / "cache" / "raw").iterdir()) == []
+    monkeypatch.undo()
+    monkeypatch.setenv(fetch.CACHE_ENV, str(tmp_path / "cache"))
+    assert main(argv) == EXIT_OK
+    assert (tmp_path / "out" / "toy.csv").read_text(encoding="utf-8") == "a,b,target\n1,2,3\n"

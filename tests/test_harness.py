@@ -216,7 +216,7 @@ class TestValidationCurve:
 
     def test_empty_trace(self):
         val = toy_dataset(5, m=9)
-        curve = validation_curve(EnsembleModel(2, 0.0, [], []), TrainTrace(), val)
+        curve = validation_curve(EnsembleModel(2, [], []), TrainTrace(), val)
         assert curve.dtype == np.float64 and curve.shape == (0,)
 
     def test_buffer_memory_is_bounded(self, monkeypatch):
@@ -348,6 +348,14 @@ class TestRepeatExperiment:
                               TuningGrid(k_max=3), LossKind.SQUARED, StumpLearner(), 2, 0)
         assert calls.count("truncated") == 2
 
+    @pytest.mark.parametrize("methods", [("plain", "plain"), ("plain", "shrunk", "plain")])
+    def test_repeated_method_rejected(self, monkeypatch, methods):
+        # each run of a repeated method would count twice in its row
+        monkeypatch.setattr(harness, "tune", None)  # raises before any tuning
+        with pytest.raises(InvalidInputError, match="a method is named more than once"):
+            repeat_experiment(self.provider, methods, TuningGrid(k_max=3),
+                              LossKind.SQUARED, StumpLearner(), 2, 0)
+
     def test_method_list_respected(self):
         rep = repeat_experiment(self.provider, METHODS[:2], TuningGrid(k_max=5),
                                 LossKind.SQUARED, StumpLearner(), 1, 0)
@@ -381,7 +389,14 @@ class TestConvergenceSlope:
         with pytest.raises(InvalidInputError):
             convergence_slope(np.ones(10), 9, 12)
 
-    def test_floor_applied(self):
-        excess = np.zeros(50)
-        slope = convergence_slope(excess, 1, 50)
-        assert np.isfinite(slope)
+    def test_nonpositive_excess_rejected(self):
+        # an excess <= 0 marks an exact fit; no log-log slope runs through it
+        for value in (0.0, -1e-12, float("nan")):
+            excess = 1.0 / np.arange(1, 51, dtype=float)
+            excess[29] = value
+            with pytest.raises(InvalidInputError, match=r"excess risk must be > 0 in the "
+                                                        r"window \[1, 50\]"):
+                convergence_slope(excess, 1, 50)
+            assert convergence_slope(excess, 1, 29) == pytest.approx(-1.0, abs=1e-12)
+        with pytest.raises(InvalidInputError):
+            convergence_slope(np.zeros(50), 1, 50)

@@ -184,16 +184,17 @@ class TestEvaluate:
         X = rng.uniform(-1.0, 1.0, size=(10, 2))
         assert np.array_equal(tree.evaluate(X), [manual(x) for x in X])
 
-    def test_scale_multiplies_output(self):
-        # older model files carry a per-learner "scale"; loading folds it
-        # into the leaf values
+    def test_legacy_scale_rejected(self):
+        # older model files carried a per-learner "scale"; a record is now
+        # exactly the keys of its kind, so such a file fails to load rather
+        # than predicting without the scale
         stump = '{"kind":"stump","feature":0,"threshold":0.0,"left":-2.0,"right":2.0,"scale":0.5}'
         tree = ('{"kind":"tree","splits":1,"scale":0.25,"nodes":'
                 '[[0,0.0,1,2,0.0],[-1,0.0,-1,-1,4.0],[-1,0.0,-1,-1,-8.0]]}')
-        model, *_ = model_from_text(model_text([stump, tree], features=1))
-        assert model.learners[0] == DecisionStump(0, 0.0, -1.0, 1.0)
-        assert [n.value for n in model.learners[1].nodes] == [0.0, 1.0, -2.0]
-        assert np.array_equal(model.predict([[-1.0], [1.0]]), [0.0, -1.0])
+        for record, kind in ((stump, "stump"), (tree, "tree")):
+            with pytest.raises(InvalidInputError,
+                               match=rf"{kind} record keys \[.*'scale'.*\] are not exactly"):
+                model_from_text(model_text([record], features=1))
 
     @pytest.mark.parametrize("record, message", [
         ('{"kind":"tree","splits":1,"nodes":[[0,0.5,0,1,0],[-1,0,-1,-1,2]]}', "node 0 "),
@@ -239,9 +240,17 @@ class TestEvaluate:
         ('{"kind":"tree","splits":1,"nodes":[[0,0.5,1,2,0],[-1,0,-1,-1,false],[-1,0,-1,-1,2]]}',
          "node value must be a number, got False"),
         ('{"kind":"stump","feature":0,"threshold":0.0,"left":1.0,"right":2.0,"scale":"2"}',
-         "scale must be a number, got '2'"),
+         r"stump record keys \['feature', 'kind', 'left', 'right', 'scale', 'threshold'\] "
+         r"are not exactly \['feature', 'kind', 'left', 'right', 'threshold'\]"),
         ('{"kind":"stump","feature":0,"threshold":0.0,"left":1e300,"right":2.0,"scale":1e300}',
-         r"left times scale 1e\+300 is not finite"),
+         r"stump record keys \[.*'scale'.*\] are not exactly"),
+        ('{"kind":"atom","feature":0,"low":0.0,"high":1.0,"value":1.0,"weight":2.0}',
+         r"atom record keys \[.*'weight'\] are not exactly"),
+        ('{"kind":"stump","feature":0,"threshold":0.0,"left":1.0}',
+         r"stump record keys \['feature', 'kind', 'left', 'threshold'\] are not exactly"),
+        ('{"kind":"tree","splits":1,"nodes":[[0,0.5,1,2,0],[-1,0,-1,-1,1],[-1,0,-1,-1,2]],'
+         '"depth":1}', r"tree record keys \['depth', 'kind', 'nodes', 'splits'\]"),
+        ('{"feature":0,"threshold":0.0,"left":1.0,"right":2.0}', "unknown learner kind None"),
         ('{"kind":"stump","feature":0,"threshold":1%s,"left":1.0,"right":2.0}' % ("0" * 400),
          "OverflowError"),
         ('{"kind":"tree","splits":1,"nodes":[[0,0.5,1,1,0],[-1,0,-1,-1,1]]}',
@@ -260,7 +269,8 @@ class TestEvaluate:
             "stump-string-threshold", "stump-bool-value", "stump-string-nan-value",
             "atom-string-infinities", "atom-string-overflow-value", "atom-null-high",
             "tree-string-node-threshold", "tree-bool-node-value", "string-scale",
-            "scale-overflows-value", "int-too-large-for-a-float",
+            "scale-overflows-value", "atom-unknown-key", "stump-missing-key",
+            "tree-unknown-key", "no-kind", "int-too-large-for-a-float",
             "tree-left-equals-right", "tree-child-of-two-splits", "tree-orphan-leaf",
             "tree-orphan-split"])
     def test_malformed_record_rejected_at_load(self, record, message):

@@ -80,7 +80,6 @@ def test_model_text_round_trip_is_exact(variant, hyp):
     data, loss, model, _ = hyp.draw(trained_runs(variant))
     loaded, *meta = model_from_text(model_to_text(model, loss, data.task, 3))
     assert meta == [loss, data.task, 3]
-    assert loaded.intercept == model.intercept
     assert np.array_equal(loaded.coefs, model.coefs)
     assert np.array_equal(loaded.predict(data.features), model.predict(data.features))
 
@@ -142,7 +141,7 @@ def test_distinct_trees_predict_as_the_per_term_sum():
     acc = np.zeros(data.n_samples)
     for coef, tree in zip(model.coefs, model.learners):
         acc += coef * tree.evaluate(data.features)
-    assert np.array_equal(model.predict(data.features), model.intercept + acc)
+    assert np.array_equal(model.predict(data.features), acc)
 
 
 def test_long_dictionary_path_round_trips_and_matches_its_trace():
