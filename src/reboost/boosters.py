@@ -1,6 +1,7 @@
 """Training drivers sharing one skeleton: select a weak learner against the
 pseudo-residuals, pick a step size, update the predictions. The additive
-model is built once, from the recorded path.
+model is built once, from the recorded path. One rule stops a run early:
+the select or the step search raises ``DegenerateDirectionError``.
 
 Variants: plain line-search boosting; re-scale boosting (the composite
 estimator is multiplied by 1 - alpha_k, alpha_k = c/(k+u), before each
@@ -124,8 +125,8 @@ class TreeLearner:
 
 @dataclass(frozen=True)
 class DictionaryLearner:
-    """Explicit finite dictionary; selection maximizes |negative-gradient
-    inner product| over the atoms (the dictionary is treated as closed
+    """Explicit finite dictionary; ``_selector`` picks the atom of largest
+    |negative-gradient inner product| (the dictionary is treated as closed
     under sign flips, the line search supplies the sign)."""
 
     atoms: tuple
@@ -155,37 +156,29 @@ class TrainConfig:
                                        "at every iteration up to max_iterations")
 
 
-class _FitSelector:
-    """Least-squares fit of a stump or tree to the pseudo-residuals."""
+def _selector(spec: LearnerSpec, X: np.ndarray):
+    """``select(residuals) -> (learner, g(X))`` for ``spec`` on the design X.
+    ``_step`` raises on a zero stump or tree; the dictionary's select raises
+    when every atom is orthogonal to the residuals, where a line search
+    would take beta = 0 steps instead."""
+    if isinstance(spec, DictionaryLearner):
+        values = np.column_stack([a.evaluate(X) for a in spec.atoms])
 
-    def __init__(self, spec: LearnerSpec, X: np.ndarray):
-        self.spec = spec
-        self.index = SplitIndex(X)
+        def select(residuals):
+            inner = residuals @ values
+            idx = int(np.argmax(np.abs(inner)))
+            if inner[idx] == 0.0:
+                raise DegenerateDirectionError("every atom is orthogonal to the residuals")
+            return spec.atoms[idx], values[:, idx]
+        return select
 
-    def select(self, residuals: np.ndarray):
-        if isinstance(self.spec, StumpLearner):
-            learner = fit_stump(self.index, residuals)
-        else:
-            learner = fit_tree(self.index, residuals, self.spec.splits)
-        gvals = learner.evaluate(self.index.X)
-        if not gvals.any():  # -0.0 counts as zero, NaN does not
-            return None, None
-        return learner, gvals
+    index = SplitIndex(X)
 
-
-class _DictionarySelector:
-    """Exact projection of gradient over a finite dictionary."""
-
-    def __init__(self, atoms: tuple, X: np.ndarray):
-        self.atoms = atoms
-        self.values = np.column_stack([a.evaluate(X) for a in atoms])
-
-    def select(self, residuals: np.ndarray):
-        inner = residuals @ self.values
-        idx = int(np.argmax(np.abs(inner)))
-        if inner[idx] == 0.0:
-            return None, None
-        return self.atoms[idx], self.values[:, idx]
+    def select(residuals):
+        learner = (fit_stump(index, residuals) if isinstance(spec, StumpLearner)
+                   else fit_tree(index, residuals, spec.splits))
+        return learner, learner.evaluate(index.X)
+    return select
 
 
 def _step(variant: Variant, loss: LossKind, k: int, residuals, base, gvals, y):
@@ -208,12 +201,12 @@ def _step(variant: Variant, loss: LossKind, k: int, residuals, base, gvals, y):
 def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleModel, TrainTrace]:
     """Run the configured boosting variant for up to max_iterations.
 
-    Stops early when the selected direction is identically zero, or the
-    step search finds it so (no first-order progress possible); the model
-    is then the one after the last completed step. An unbounded line search
-    is capped at the signed search edge +-2**60 of ``UnboundedDescentError``
-    and noted in the trace. Every step is deterministic, so ``seed`` is
-    unused; ``reboost train`` writes its ``--seed`` into the model file.
+    Stops early at the first step whose select or step search raises
+    ``DegenerateDirectionError``; the model is then the one after the last
+    completed step, unrescaled. An unbounded line search is capped at the
+    signed search edge +-2**60 of ``UnboundedDescentError`` and noted in
+    the trace. Every step is deterministic, so ``seed`` is unused;
+    ``reboost train`` writes its ``--seed`` into the model file.
     """
     # this check and the Dataset invariants (finite targets, +-1 labels for
     # classification) are all that the unchecked loss kernels below need
@@ -225,25 +218,17 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
     learners = []
     preds = np.zeros(data.n_samples)
 
-    if isinstance(config.learner, DictionaryLearner):
-        selector = _DictionarySelector(config.learner.atoms, X)
-    else:
-        selector = _FitSelector(config.learner, X)
-
+    select = _selector(config.learner, X)
     variant = config.variant
 
     for k in range(1, config.max_iterations + 1):
         residuals = _residuals(config.loss, preds, y)
-        learner, gvals = selector.select(residuals)
-        if learner is None:
-            trace.stopped_early = f"degenerate direction at iteration {k}"
-            break
-
         alpha = variant.schedule.alpha(k) if isinstance(variant, Rescale) else 0.0
-        base = (1.0 - alpha) * preds
+        base = (1.0 - alpha) * preds  # a new array: preds stays f_{k-1} if k stops
         try:
+            learner, gvals = select(residuals)
             beta, note = _step(variant, config.loss, k, residuals, base, gvals, y)
-        except DegenerateDirectionError:  # e.g. a nonzero g whose g.g underflows
+        except DegenerateDirectionError:
             trace.stopped_early = f"degenerate direction at iteration {k}"
             break
 

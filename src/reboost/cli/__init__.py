@@ -102,11 +102,8 @@ def _write_records(path, cls, records) -> None:
 
 
 def _learner_spec(args) -> boosters.LearnerSpec:
-    if args.splits < 1:  # checked for stumps too, which ignore it
-        raise InvalidSpecError(f"--splits must be >= 1, got {args.splits}")
-    if args.learner == "stump":
-        return boosters.StumpLearner()
-    return boosters.TreeLearner(args.splits)
+    tree = boosters.TreeLearner(args.splits)  # checks --splits for stumps too
+    return boosters.StumpLearner() if args.learner == "stump" else tree
 
 
 def cmd_train(args) -> int:

@@ -9,15 +9,16 @@ Every line between the format line and the footer is a term or one of
 the six header fields, each present once. A margin loss needs
 ``task=binary-classification``; ``features=`` must be >= 1. The model has
 no intercept: ``intercept=0`` is written so that files load across
-versions, and no other value loads. A term record holds exactly the keys
-of its kind in ``_RECORD_KEYS``, so one with another key, such as the
-``scale`` of old files, is rejected. Its JSON numbers are finite; stump,
-atom and node ``feature``, tree child indices and ``splits`` are JSON
-integers (not bools); thresholds, leaf and atom values, ``low`` and
-``high`` are JSON numbers (not strings or bools); a stump or atom feature
-is >= 0; each tree node is a leaf or a split whose children follow it,
-and each node but the root is the child of exactly one split; and
-``splits`` is the count of split nodes. Violations raise
+versions, and no other value loads. A term record is a JSON object with
+a string ``kind``, and holds exactly the keys of its kind in
+``_RECORD_KEYS``, each once: a record with another key, such as the
+``scale`` of old files, or with a key repeated is rejected. Its JSON
+numbers are finite; stump, atom and node ``feature``, tree child indices
+and ``splits`` are JSON integers (not bools); thresholds, leaf and atom
+values, ``low`` and ``high`` are JSON numbers (not strings or bools); a
+stump or atom feature is >= 0; each tree node is a leaf or a split whose
+children follow it, and each node but the root is the child of exactly
+one split; and ``splits`` is the count of split nodes. Violations raise
 ``InvalidInputError``.
 """
 
@@ -82,10 +83,13 @@ _RECORD_KEYS = {  # kind -> the keys of its term records
 }
 
 
-def _parse_learner(payload: dict):
+def _parse_learner(payload, term: int):
+    """The learner of term record ``payload``, the ``term``-th of the file."""
+    if type(payload) is not dict:
+        raise InvalidInputError(f"model term {term} is not a JSON object: {payload!r}")
     kind = payload.get("kind")
-    if kind not in _RECORD_KEYS:
-        raise InvalidInputError(f"unknown learner kind {kind!r}")
+    if type(kind) is not str or kind not in _RECORD_KEYS:
+        raise InvalidInputError(f"model term {term} has unknown learner kind {kind!r}")
     if payload.keys() != _RECORD_KEYS[kind]:
         raise InvalidInputError(f"{kind} record keys {sorted(payload)} are not exactly "
                                 f"{sorted(_RECORD_KEYS[kind])}")
@@ -151,7 +155,18 @@ def _finite(text: str) -> float:
     return value
 
 
-_TERM_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
+def _object(pairs) -> dict:
+    """A JSON object of a term record, none of whose keys may repeat."""
+    record = {}
+    for key, value in pairs:
+        if key in record:
+            raise InvalidInputError(f"model record repeats the key {key!r}")
+        record[key] = value
+    return record
+
+
+_TERM_DECODER = json.JSONDecoder(object_pairs_hook=_object, parse_float=_finite,
+                                 parse_constant=_finite)
 
 
 def _parse_model(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
@@ -197,7 +212,8 @@ def _parse_model(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
         )
     terms = [line.split(" ", 2)[1:] for line in term_lines]  # (coef, payload) texts
     model = EnsembleModel(n_features, [_finite(coef) for coef, _ in terms],
-                          [_parse_learner(_TERM_DECODER.decode(p)) for _, p in terms])
+                          [_parse_learner(_TERM_DECODER.decode(p), i)
+                           for i, (_, p) in enumerate(terms, start=1)])
     return model, loss, task, int(fields["seed"])
 
 

@@ -39,6 +39,14 @@ from reboost.core import InvalidInputError
 _MIN_GAIN_REL = 1e-12
 
 
+def _design(features, feature: int, kind: str) -> np.ndarray:
+    """``features`` as a 2-D float array, which must have column ``feature``."""
+    X = np.atleast_2d(np.asarray(features, dtype=float))
+    if feature >= X.shape[1]:
+        raise InvalidInputError(f"{kind} uses feature {feature}, input has {X.shape[1]}")
+    return X
+
+
 @dataclass(frozen=True)
 class DecisionStump:
     """Two-leaf axis-aligned rule: left value if x[feature] <= threshold."""
@@ -53,11 +61,7 @@ class DecisionStump:
             raise InvalidInputError(f"stump feature must be >= 0, got {self.feature}")
 
     def evaluate(self, features) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(features, dtype=float))
-        if self.feature >= X.shape[1]:
-            raise InvalidInputError(
-                f"stump uses feature {self.feature}, input has {X.shape[1]}"
-            )
+        X = _design(features, self.feature, "stump")
         return np.where(X[:, self.feature] <= self.threshold,
                         self.left_value, self.right_value)
 
@@ -121,11 +125,7 @@ class RegressionTree:
         rows, a J = 16 tree on 5,000 rows 1.1-1.6x and a J = 64 tree 2-3.5x.
         The experiments and the CLI default fit J <= 4.
         """
-        X = np.atleast_2d(np.asarray(features, dtype=float))
-        if self._max_feature >= X.shape[1]:
-            raise InvalidInputError(
-                f"tree uses feature {self._max_feature}, input has {X.shape[1]}"
-            )
+        X = _design(features, self._max_feature, "tree")
         value = {}  # node id -> value of a node whose parent is still to come
         for i in range(len(self.nodes) - 1, -1, -1):
             n = self.nodes[i]
@@ -155,12 +155,7 @@ class IntervalAtom:
             raise InvalidInputError(f"atom feature must be >= 0, got {self.feature}")
 
     def evaluate(self, features) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(features, dtype=float))
-        if self.feature >= X.shape[1]:
-            raise InvalidInputError(
-                f"atom uses feature {self.feature}, input has {X.shape[1]}"
-            )
-        col = X[:, self.feature]
+        col = _design(features, self.feature, "atom")[:, self.feature]
         return np.where((col >= self.low) & (col < self.high), self.value, 0.0)
 
     def describe(self) -> str:

@@ -25,6 +25,7 @@ from reboost.core import (
     InvalidSpecError,
     Task,
 )
+from reboost.learners import IntervalAtom
 from reboost.linesearch import line_search
 from reboost.losses import LossKind, empirical_risk, pseudo_residuals
 from reboost.synthdata import SparseDictionarySpec, gen_orange, gen_sparse_dictionary_instance
@@ -154,6 +155,32 @@ class TestTrainBasics:
         assert len(trace) == 0
         assert trace.stopped_early == "degenerate direction at iteration 1"
         assert np.array_equal(model.predict(X), np.zeros(20))
+
+    @pytest.mark.parametrize("loss", list(LossKind), ids=lambda loss: loss.value)
+    @pytest.mark.parametrize("learner", [StumpLearner(), TreeLearner(3)], ids=["stump", "tree"])
+    @pytest.mark.parametrize("variant", [
+        Plain(), Rescale(ShrinkageSchedule.theorem()), Shrunk(0.5), Truncated(1.0), Epsilon(0.1),
+    ], ids=["plain", "rescale", "shrunk", "truncated", "epsilon"])
+    def test_zero_fit_stops_at_first_step(self, loss, learner, variant):
+        # constant features admit no split, and balanced +-1 targets give
+        # residuals of mean 0, so the stump or tree is zero: _step raises
+        X = np.ones((8, 2))
+        data = Dataset(X, np.tile([1.0, -1.0], 4), Task.CLASSIFICATION)
+        model, trace = train(data, TrainConfig(5, loss, learner, variant), 0)
+        assert len(trace) == 0
+        assert trace.stopped_early == "degenerate direction at iteration 1"
+        assert np.array_equal(model.predict(X), np.zeros(8))
+
+    def test_orthogonal_dictionary_stops_at_first_step(self):
+        # the only atom covers the rows whose target is 0, so it is
+        # orthogonal to the residuals though not zero
+        X = np.arange(4.0).reshape(-1, 1)
+        data = Dataset(X, np.array([0.0, 0.0, 1.0, -1.0]), Task.REGRESSION)
+        learner = DictionaryLearner((IntervalAtom(0.0, 2.0, 1.0),))
+        model, trace = train(data, TrainConfig(5, LossKind.SQUARED, learner, Plain()), 0)
+        assert len(trace) == 0
+        assert trace.stopped_early == "degenerate direction at iteration 1"
+        assert np.array_equal(model.predict(X), np.zeros(4))
 
     def test_stopped_rescale_step_leaves_model_unscaled(self, monkeypatch):
         # a search that finds the second direction degenerate: the model

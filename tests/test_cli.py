@@ -2,6 +2,7 @@ import csv
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import zlib
@@ -182,13 +183,21 @@ class TestPredictModelErrors:
         '{"kind":"stump","feature":0,"threshold":"0.5","left":true,"right":"nan"}',
         '{"kind":"tree","splits":3,"nodes":[[0,0.5,1,2,0],[0,0.5,3,4,0],[1,0.5,3,4,0],'
         '[-1,0,-1,-1,1],[-1,0,-1,-1,2]]}',
+        '{"kind":"stump","feature":0,"threshold":0.0,"left":1.0,"right":2.0,"left":-5.0}',
+        '[1,2]',
+        '"stump"',
+        '{"kind":["stump"]}',
     ], ids=["cyclic-tree", "negative-feature", "float-feature", "splits-not-its-node-count",
-            "string-and-bool-floats", "tree-child-of-two-splits"])
+            "string-and-bool-floats", "tree-child-of-two-splits", "repeated-key",
+            "list-record", "string-record", "list-kind"])
     def test_malformed_learner(self, tmp_path, model_lines, payload, capsys):
         i = next(i for i, ln in enumerate(model_lines) if ln.startswith("term "))
         lines = model_lines[:i] + [f"term 1 {payload}"] + model_lines[i + 1:]
         assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # one plain error line, with no Python exception name in it
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not re.search(r"[A-Z][a-z]+Error", err)
 
     def test_non_utf8_model(self, tmp_path, model_lines):
         text = with_checksum(model_lines).encode("utf-8")

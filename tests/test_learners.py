@@ -251,6 +251,11 @@ class TestEvaluate:
         ('{"kind":"tree","splits":1,"nodes":[[0,0.5,1,2,0],[-1,0,-1,-1,1],[-1,0,-1,-1,2]],'
          '"depth":1}', r"tree record keys \['depth', 'kind', 'nodes', 'splits'\]"),
         ('{"feature":0,"threshold":0.0,"left":1.0,"right":2.0}', "unknown learner kind None"),
+        ('{"kind":"stump","feature":0,"threshold":0.0,"left":1.0,"right":2.0,"left":-5.0}',
+         "model record repeats the key 'left'"),
+        ('[1,2]', r"model term 1 is not a JSON object: \[1, 2\]"),
+        ('"stump"', "model term 1 is not a JSON object: 'stump'"),
+        ('{"kind":["stump"]}', r"model term 1 has unknown learner kind \['stump'\]"),
         ('{"kind":"stump","feature":0,"threshold":1%s,"left":1.0,"right":2.0}' % ("0" * 400),
          "OverflowError"),
         ('{"kind":"tree","splits":1,"nodes":[[0,0.5,1,1,0],[-1,0,-1,-1,1]]}',
@@ -270,7 +275,8 @@ class TestEvaluate:
             "atom-string-infinities", "atom-string-overflow-value", "atom-null-high",
             "tree-string-node-threshold", "tree-bool-node-value", "string-scale",
             "scale-overflows-value", "atom-unknown-key", "stump-missing-key",
-            "tree-unknown-key", "no-kind", "int-too-large-for-a-float",
+            "tree-unknown-key", "no-kind", "repeated-key", "list-record", "string-record",
+            "list-kind", "int-too-large-for-a-float",
             "tree-left-equals-right", "tree-child-of-two-splits", "tree-orphan-leaf",
             "tree-orphan-split"])
     def test_malformed_record_rejected_at_load(self, record, message):
