@@ -23,7 +23,6 @@ from reboost.core import (
     InvalidInputError,
     InvalidSpecError,
     Task,
-    TraceRecord,
     TrainTrace,
     UnboundedDescentError,
 )
@@ -36,8 +35,8 @@ from reboost.losses import LossKind, _residuals, _risk
 class ShrinkageSchedule:
     """Per-iteration rescale degree alpha_k = c / (k + u), k >= 1.
 
-    Checked once, at construction: c finite and >= 0, u > -1 and
-    c <= 1 + u (NaN fails). Then k + u > 0 and alpha_k is non-increasing
+    Checked once, at construction: c finite and >= 0, u finite and > -1,
+    and c <= 1 + u (NaN fails). Then k + u > 0 and alpha_k is non-increasing
     in k, from alpha_1 = c / (1 + u) <= 1 down towards 0, so every degree
     lies in [0, 1]. alpha_1 = 1 is legal: it rescales the zero model f_0.
     """
@@ -46,9 +45,9 @@ class ShrinkageSchedule:
     u: float
 
     def __post_init__(self):
-        if not (0.0 <= self.c < np.inf and self.u > -1.0 and self.c <= 1.0 + self.u):
-            raise InvalidSpecError("schedule requires a finite c >= 0, u > -1 and c <= 1 + u "
-                                   f"in c/(k+u), got c = {self.c}, u = {self.u}")
+        if not (0.0 <= self.c < np.inf and -1.0 < self.u < np.inf and self.c <= 1.0 + self.u):
+            raise InvalidSpecError("schedule requires a finite c >= 0, a finite u > -1 and "
+                                   f"c <= 1 + u in c/(k+u), got c = {self.c}, u = {self.u}")
 
     @classmethod
     def theorem(cls) -> "ShrinkageSchedule":
@@ -215,7 +214,6 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
 
     X, y = data.features, data.targets
     trace = TrainTrace()
-    learners = []
     preds = np.zeros(data.n_samples)
 
     select = _selector(config.learner, X)
@@ -232,12 +230,10 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
             trace.stopped_early = f"degenerate direction at iteration {k}"
             break
 
-        learners.append(learner)
         preds = base + beta * gvals
-        risk = _risk(config.loss, preds, y)
-        trace.append(TraceRecord(k, learner.describe(), float(beta), alpha, risk, note))
+        trace.add(learner, beta, alpha, _risk(config.loss, preds, y), note)
 
-    return EnsembleModel.from_path(learners, trace, n_features=data.n_features), trace
+    return EnsembleModel.from_path(trace.learners, trace, n_features=data.n_features), trace
 
 
 def excess_risk_trace(trace: TrainTrace, reference: float) -> np.ndarray:

@@ -122,7 +122,7 @@ def cmd_train(args) -> int:
     if trace.stopped_early:
         print(f"note: {trace.stopped_early}", file=sys.stderr)
     print(f"trained {len(trace)} iterations, final risk "
-          f"{trace.records[-1].risk if trace.records else float('nan'):.6g}")
+          f"{trace.risks[-1] if len(trace) else float('nan'):.6g}")
     return EXIT_OK
 
 

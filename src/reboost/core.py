@@ -1,13 +1,19 @@
 """Shared domain types: datasets, additive ensemble models, traces, truncation.
 
-The ensemble model is a value built once: one read-only coefficient per
-term, computed for a recorded path from the path's alphas and betas.
+A training trace is stored as columns: the step learners (references
+shared with the model), float64 arrays of beta, alpha and risk, the notes
+of the steps that have one, and ``stopped_early``. Its ``TraceRecord``
+rows are built on each read of ``records`` and not cached. The ensemble
+model is a value built once: one read-only coefficient per term, computed
+for a recorded path from the path's alpha and beta columns.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,39 +108,66 @@ class TraceRecord:
     note: str = ""
 
 
-@dataclass
 class TrainTrace:
-    """Ordered per-iteration history of a training run."""
+    """Ordered per-iteration history of a training run, stored as columns.
 
-    records: list[TraceRecord] = field(default_factory=list)
-    stopped_early: str | None = None
+    Step k (k = 1, 2, ...) is ``learners[k - 1]``, the learner itself,
+    shared with the model and not copied, and float64 entries of the beta,
+    alpha and risk columns; a note (``capped-beta``) is kept only for the
+    steps that have one. ``betas``, ``alphas`` and ``risks`` return copies
+    of the columns, so a later step cannot change or block them.
+    ``records`` builds the ``TraceRecord`` rows, descriptions included, on
+    each read and does not cache them. A trace built from records keeps
+    their learner strings as its learners.
+    """
 
-    def __post_init__(self):
-        records, self.records = self.records, []
+    def __init__(self, records=(), stopped_early: str | None = None):
+        self.learners: list = []
+        self._betas, self._alphas, self._risks = array("d"), array("d"), array("d")
+        self._notes: dict[int, str] = {}  # k -> note, for the steps that have one
+        self.stopped_early = stopped_early
         for rec in records:
             self.append(rec)
 
+    def add(self, learner, beta: float, alpha: float, risk: float, note: str = "") -> None:
+        """Record the next step, k = len(self) + 1; its risk must be finite."""
+        k = len(self.learners) + 1
+        if not math.isfinite(risk):
+            raise InvalidInputError(f"non-finite risk at iteration {k}")
+        self._betas.append(beta)
+        self._alphas.append(alpha)
+        self._risks.append(risk)
+        self.learners.append(learner)
+        if note:
+            self._notes[k] = note
+
     def append(self, rec: TraceRecord) -> None:
-        if rec.k != len(self.records) + 1:
+        if rec.k != len(self.learners) + 1:
             raise InvalidInputError("trace records must be ordered k=1,2,...")
-        if not np.isfinite(rec.risk):
-            raise InvalidInputError(f"non-finite risk at iteration {rec.k}")
-        self.records.append(rec)
+        # floats first, so a value that is not a number leaves the columns unchanged
+        self.add(rec.learner, float(rec.beta), float(rec.alpha), rec.risk, rec.note)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.learners)
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        return [TraceRecord(k, g if isinstance(g, str) else g.describe(), beta, alpha, risk,
+                            self._notes.get(k, ""))
+                for k, (g, beta, alpha, risk)
+                in enumerate(zip(self.learners, self._betas, self._alphas, self._risks), 1)]
 
     @property
     def risks(self) -> np.ndarray:
-        return np.array([r.risk for r in self.records])
+        return np.array(self._risks)
 
     @property
     def betas(self) -> np.ndarray:
-        return np.array([r.beta for r in self.records])
+        return np.array(self._betas)
 
     @property
     def alphas(self) -> np.ndarray:
-        return np.array([r.alpha for r in self.records])
+        return np.array(self._alphas)
 
 
 class EnsembleModel:

@@ -158,16 +158,16 @@ def validation_curve(model: EnsembleModel, trace: TrainTrace, val_set: Dataset) 
     scored by one metric call.
     """
     metric = metric_for_task(val_set.task)
-    steps = list(zip(trace.records, model.learners))
+    steps = list(zip(model.learners, trace.alphas.tolist(), trace.betas.tolist()))
     curve = np.empty(len(steps))
     rows = max(1, CURVE_BUFFER_FLOATS // val_set.n_samples)
     buf = np.empty((min(rows, len(steps)), val_set.n_samples))
     preds = np.zeros(val_set.n_samples)
     for start in range(0, len(steps), rows):
         block = buf[:len(steps) - start]
-        for row, (rec, learner) in zip(block, steps[start:start + rows]):
-            np.multiply(1.0 - rec.alpha, preds, out=row)
-            row += rec.beta * learner.evaluate(val_set.features)
+        for row, (learner, alpha, beta) in zip(block, steps[start:start + rows]):
+            np.multiply(1.0 - alpha, preds, out=row)
+            row += beta * learner.evaluate(val_set.features)
             preds = row
         curve[start:start + len(block)] = metric(block, val_set.targets)
     return curve
@@ -188,7 +188,7 @@ def tune(train_set: Dataset, val_set: Dataset, method: str, grid: TuningGrid,
     """Grid-search one method family; select (cell, k) minimizing the
     validation metric, ties toward smaller k then earlier grid position,
     and return the model of that cell's first k steps."""
-    best = None  # ((metric, k, cell_idx), label, learners, trace)
+    best = None  # ((metric, k, cell_idx), label, trace)
     for idx, (label, variant) in enumerate(variant_cells(method)):
         try:
             model, trace = train(train_set, TrainConfig(grid.k_max, loss, learner, variant))
@@ -201,11 +201,11 @@ def tune(train_set: Dataset, val_set: Dataset, method: str, grid: TuningGrid,
         k_best = int(np.argmin(curve)) + 1
         key = (float(curve[k_best - 1]), k_best, idx)
         if best is None or key < best[0]:
-            best = (key, label, model.learners, trace)
+            best = (key, label, trace)
     if best is None:
         raise TuningError(f"every grid cell failed for method {method!r}")
-    (val_metric, k, _), label, learners, trace = best
-    model = EnsembleModel.from_path(learners, trace, k, n_features=train_set.n_features)
+    (val_metric, k, _), label, trace = best
+    model = EnsembleModel.from_path(trace.learners, trace, k, n_features=train_set.n_features)
     return TuneResult(label, k, val_metric, model)
 
 

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,8 +27,10 @@ from reboost.core import (
     InvalidInputError,
     InvalidSpecError,
     Task,
+    TraceRecord,
+    TrainTrace,
 )
-from reboost.learners import IntervalAtom
+from reboost.learners import DecisionStump, IntervalAtom
 from reboost.linesearch import line_search
 from reboost.losses import LossKind, empirical_risk, pseudo_residuals
 from reboost.synthdata import SparseDictionarySpec, gen_orange, gen_sparse_dictionary_instance
@@ -71,7 +76,7 @@ class TestShrinkageSchedule:
     def test_invalid_schedules(self):
         nan, inf = float("nan"), float("inf")
         for c, u in [(-0.5, 1.0), (nan, 1.0), (inf, inf), (1.0, nan), (0.0, -1.0),
-                     (0.0, -inf), (1.0, -0.5)]:
+                     (0.0, -inf), (1.0, -0.5), (2.0, inf)]:
             with pytest.raises(InvalidSpecError, match="schedule requires"):
                 ShrinkageSchedule(c, u)
 
@@ -367,6 +372,7 @@ class TestExponentialSeparable:
         assert trace.records[0].note == "capped-beta"
         assert abs(trace.records[0].beta) == 2.0 ** 60
         assert trace.records[0].risk == 0.0  # fully separated afterwards
+        assert TrainTrace(trace.records).records == trace.records
 
 
 class TestFarMinimizer:
@@ -380,3 +386,76 @@ class TestFarMinimizer:
         assert len(trace) == 40
         assert max(abs(r.beta) for r in trace.records) > 1e6
         assert np.isfinite(trace.risks).all()
+
+
+def dictionary_problem(m=256, atoms=64):
+    """(dataset, loss, learner spec) of the sparse interval-atom instance."""
+    data, dictionary, _, _ = gen_sparse_dictionary_instance(
+        SparseDictionarySpec(m, atoms, 4, 4.0), 0)
+    return data, LossKind.SQUARED, DictionaryLearner(dictionary)
+
+
+COLUMN_PROBLEMS = {  # id -> (dataset, loss, learner spec)
+    "stump-squared": lambda: (regression_data(seed=8), LossKind.SQUARED, StumpLearner()),
+    "stump-logistic": lambda: (classification_data(seed=8), LossKind.LOGISTIC, StumpLearner()),
+    "tree-squared": lambda: (regression_data(seed=9), LossKind.SQUARED, TreeLearner(3)),
+    "tree-logistic": lambda: (classification_data(seed=9), LossKind.LOGISTIC, TreeLearner(3)),
+    "dictionary-squared": lambda: dictionary_problem(32, 8),
+}
+
+
+class TestTraceColumns:
+    @pytest.mark.parametrize("problem", list(COLUMN_PROBLEMS))
+    @pytest.mark.parametrize("variant", [
+        Plain(), Rescale(ShrinkageSchedule.theorem()), Shrunk(0.5), Truncated(1.0), Epsilon(0.1),
+    ], ids=["plain", "rescale", "shrunk", "truncated", "epsilon"])
+    def test_trace_rebuilt_from_its_records_is_bit_identical(self, problem, variant):
+        data, loss, learner = COLUMN_PROBLEMS[problem]()
+        _, trace = train(data, TrainConfig(25, loss, learner, variant), 0)
+        assert len(trace) > 0
+        rebuilt = TrainTrace(trace.records, stopped_early=trace.stopped_early)
+        assert rebuilt.records == trace.records
+        assert rebuilt.stopped_early == trace.stopped_early
+        for column in ("risks", "betas", "alphas"):
+            got, want = getattr(rebuilt, column), getattr(trace, column)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+        for t in (trace, rebuilt):  # a column read earlier neither blocks nor sees a step
+            n, risks = len(t), t.risks
+            t.append(TraceRecord(n + 1, "extra", 0.5, 0.25, 0.125))
+            assert len(t) == n + 1 and risks.size == n
+            assert t.risks.tolist() == risks.tolist() + [0.125]
+            assert t.records[-1] == TraceRecord(n + 1, "extra", 0.5, 0.25, 0.125)
+
+    def test_descriptions_are_made_on_each_read_of_records(self, monkeypatch):
+        calls = []
+        describe = DecisionStump.describe
+        monkeypatch.setattr(DecisionStump, "describe",
+                            lambda self: calls.append(self) or describe(self))
+        model, trace = train(regression_data(seed=10), TrainConfig(
+            20, LossKind.SQUARED, StumpLearner(), Rescale(ShrinkageSchedule.theorem())), 0)
+        assert len(trace) == 20 and calls == []
+        assert [r.learner for r in trace.records] == [describe(g) for g in model.learners]
+        assert calls == list(model.learners)
+        trace.records
+        assert len(calls) == 40  # not cached
+
+    def test_long_path_keeps_few_bytes_per_step(self):
+        # the columns hold a learner reference and three floats per step,
+        # about 35 bytes; a record object per step would not fit in 64
+        data, loss, learner = dictionary_problem()
+        config = TrainConfig(2048, loss, learner, Rescale(ShrinkageSchedule.theorem()))
+        train(data, TrainConfig(8, loss, learner, config.variant), 0)  # warm caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model, trace = train(data, config, 0)
+            del model
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 2048
+        assert kept / len(trace) <= 64

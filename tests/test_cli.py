@@ -359,8 +359,8 @@ class TestExitCodes:
                      "--u", "0.5", "--iterations", "3", "--model-out", str(tmp_path / "m.txt")])
         assert code == EXIT_FLAGS
         err = capsys.readouterr().err
-        assert err == ("error: schedule requires a finite c >= 0, u > -1 and c <= 1 + u "
-                       "in c/(k+u), got c = 2.0, u = 0.5\n")
+        assert err == ("error: schedule requires a finite c >= 0, a finite u > -1 and "
+                       "c <= 1 + u in c/(k+u), got c = 2.0, u = 0.5\n")
         assert not (tmp_path / "m.txt").exists()
 
     def test_repeated_method_exits_2(self, capsys):
@@ -391,11 +391,12 @@ class TestExitCodes:
          "truncated bound t_5 = 0.0 must be > 0"),
         (["--variant", "epsilon", "--eps", "inf"], "eps must be positive and finite"),
         (["--variant", "rescale", "--u", "nan"], "schedule requires"),
+        (["--variant", "rescale", "--u", "inf"], "a finite u > -1"),
     ], ids=["shrunk-no-nu", "truncated-no-t0", "epsilon-no-eps", "iterations-0", "splits-0",
             "tree-splits-minus-1", "default-stump-splits-minus-1", "stump-splits-0",
             "logistic-regression-task", "exponential-regression-task", "t0-inf",
             "t-exponent-nan", "t-exponent-inf", "t-exponent-minus-inf", "t-exponent-negative",
-            "t-bound-underflows", "eps-inf", "u-nan"])
+            "t-bound-underflows", "eps-inf", "u-nan", "u-inf"])
     def test_train_flag_errors_exit_2(self, tmp_path, capsys, flags, message):
         data = write(tmp_path / "d.csv", "x,y\n0,1.0\n1,2.5\n2,-0.5\n")
         code = main(["train", "--data", data, "--model-out", str(tmp_path / "m.txt"), *flags])
