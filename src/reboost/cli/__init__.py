@@ -98,7 +98,7 @@ def _build_variant(args) -> boosters.Variant:
 
 def _write_records(path, cls, records) -> None:
     """One CSV row per dataclass record, one column per field of ``cls``."""
-    data_io.write_csv(path, [f.name for f in fields(cls)], map(astuple, records))
+    data_io.write_csv(path, [f.name for f in fields(cls)], zip(*map(astuple, records)))
 
 
 def _learner_spec(args) -> boosters.LearnerSpec:
@@ -127,12 +127,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.truncate is not None:  # a bad level is a flag error, found before any file is read
+        truncate_predictions(np.empty(0), args.truncate)
     with _phase(EXIT_DATA):
         model = model_io.load_model(args.model)[0]
         preds = model.predict(data_io.load_feature_matrix(args.data, model.n_features))
     if args.truncate is not None:
         preds = truncate_predictions(preds, args.truncate)
-    data_io.write_csv(args.out, ("prediction",), ([p] for p in preds.tolist()))
+    data_io.write_csv(args.out, ("prediction",), [preds])
     return EXIT_OK
 
 
@@ -241,7 +243,7 @@ def cmd_convergence(args) -> int:
         rows.extend((name, k, e, slope) for k, e in enumerate(excess.tolist(), start=1))
 
     if args.report_out:
-        data_io.write_csv(args.report_out, ("method", "k", "excess_risk", "slope"), rows)
+        data_io.write_csv(args.report_out, ("method", "k", "excess_risk", "slope"), zip(*rows))
     return EXIT_OK
 
 

@@ -135,7 +135,7 @@ def fetch_dataset(name: str, out_dir, url_override: str | None = None,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{name}.csv"
-    write_csv(out_path, header, rows)
+    write_csv(out_path, header, zip(*rows))
     return out_path
 
 

@@ -209,7 +209,8 @@ class EnsembleModel:
 
     def predict(self, features) -> np.ndarray:
         """Evaluate the model on a feature matrix (one row per sample)."""
-        X = np.atleast_2d(np.asarray(features, dtype=float))
+        # one column-major copy, so that each split or atom reads a contiguous column
+        X = np.asfortranarray(np.atleast_2d(features), dtype=float)
         if X.shape[1] != self.n_features:
             raise InvalidInputError(
                 f"model was fit on {self.n_features} features, got {X.shape[1]}"

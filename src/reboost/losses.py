@@ -23,9 +23,9 @@ the kernels at every step.
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
-from scipy.special import expit
 
 from reboost.core import InvalidInputError
 
@@ -40,8 +40,18 @@ class LossKind(enum.Enum):
         return self is not LossKind.SQUARED
 
 
-# the margin weight w(z) = -phi'(z) of each margin loss, as a ufunc of -z
-_MARGIN_WEIGHT = {LossKind.LOGISTIC: expit, LossKind.EXPONENTIAL: np.exp}
+@functools.cache
+def _margin_weight(kind: LossKind):
+    """The margin weight w(z) = -phi'(z) of a margin loss, as a ufunc of -z.
+
+    scipy.special is imported here, on the first logistic use, and not with
+    this module: it is most of the import time and memory of a run that
+    uses no margin loss. The cache makes later calls a lookup.
+    """
+    if kind is LossKind.EXPONENTIAL:
+        return np.exp
+    from scipy.special import expit
+    return expit
 
 
 def _checked(kind: LossKind, f, y) -> tuple[np.ndarray, np.ndarray]:
@@ -68,7 +78,7 @@ def _residuals(kind: LossKind, f: np.ndarray, y: np.ndarray) -> np.ndarray:
     if kind is LossKind.SQUARED:
         return -2.0 * (f - y)  # -0 where f = y, as -(2 (f - y)); 2 (y - f) gives +0
     with np.errstate(over="ignore"):
-        return y * _MARGIN_WEIGHT[kind](-y * f)
+        return y * _margin_weight(kind)(-y * f)
 
 
 def _risk(kind: LossKind, f: np.ndarray, y: np.ndarray) -> float:
@@ -111,11 +121,11 @@ def risk_slope(kind: LossKind, base, g, y):
     makes each evaluation one pass over the sample, with the means taken
     as dot products.
     """
-    if kind not in _MARGIN_WEIGHT:
+    if not kind.is_classification:
         raise InvalidInputError(f"risk_slope needs a margin loss, got {kind.value}")
     base, y = _checked(kind, base, y)
     g = np.asarray(g, dtype=float)
-    weight, m = _MARGIN_WEIGHT[kind], y.size
+    weight, m = _margin_weight(kind), y.size
     yb, yg = y * base, y * g
     yg2 = yg * yg
     if kind is LossKind.LOGISTIC:

@@ -5,6 +5,7 @@ instance used to measure the numerical convergence rate empirically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -135,15 +136,16 @@ def gen_sparse_dictionary_instance(spec: SparseDictionarySpec, seed: int):
         raise InvalidSpecError(f"coef_norm must be positive and finite, got {spec.coef_norm}")
 
     x = (np.arange(m) + 0.5) / m
-    edges = np.round(np.linspace(0, m, n + 1)).astype(int)
+    # Python ints and floats: the same values as numpy scalar arithmetic, bit
+    # for bit, without its per-operation cost
+    edges = np.round(np.linspace(0, m, n + 1)).astype(int).tolist()
     atoms = []
-    for i in range(n):
-        lo_idx, hi_idx = edges[i], edges[i + 1]
+    for lo_idx, hi_idx in zip(edges, edges[1:]):
         size = hi_idx - lo_idx
         if size < 1:
             raise InvalidSpecError("an atom block would be empty")
         atoms.append(IntervalAtom(low=lo_idx / m, high=hi_idx / m,
-                                  value=1.0 / np.sqrt(size)))
+                                  value=1.0 / math.sqrt(size)))
     atoms = tuple(atoms)
 
     rng = np.random.default_rng(seed)

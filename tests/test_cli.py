@@ -469,6 +469,30 @@ class TestExitCodes:
         assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
 
+    @pytest.mark.parametrize("level", ["-1", "0", "nan"])
+    def test_bad_truncation_level_exits_2_before_reading_files(self, tmp_path, capsys, level):
+        # the model and data files are missing, which would exit 3
+        code = main(["predict", "--model", str(tmp_path / "missing.txt"),
+                     "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "p.csv"),
+                     f"--truncate={level}"])
+        assert code == EXIT_FLAGS
+        assert capsys.readouterr().err == (
+            f"error: truncation level must be positive, got {float(level)}\n")
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_truncation_level_clamps_predictions(self, tmp_path):
+        data = write(tmp_path / "d.csv", "x,y\n0,5.0\n1,-4.0\n2,0.5\n3,3.0\n4,-0.25\n")
+        model = str(tmp_path / "m.txt")
+        assert main(["train", "--data", data, "--iterations", "5", "--model-out", model]) == 0
+        outs = {}
+        for name, flags in (("plain", []), ("clamped", ["--truncate", "1"])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["predict", "--model", model, "--data", data, "--out", str(out),
+                         *flags]) == EXIT_OK
+            outs[name] = np.array([float(row[0]) for row in read_rows(out)[1:]])
+        assert np.abs(outs["plain"]).max() > 1.0  # the clamp has something to do
+        assert outs["clamped"].tolist() == np.clip(outs["plain"], -1.0, 1.0).tolist()
+
     def test_bench_data_too_small_to_split_exits_3(self, tmp_path, capsys):
         # 3 rows leave the test part empty; the split used to run only inside
         # the experiment, where the error exited 2 as a flag error
@@ -619,3 +643,32 @@ class TestRunAsModule:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == code
         assert "usage: reboost" in (done.stdout if code == 0 else done.stderr)
+
+
+class TestScipySpecialLoadedOnFirstLogisticUse:
+    """``import reboost`` leaves out scipy.special, which is most of its
+    import time and memory; only a margin loss needs it."""
+
+    SCRIPT = """
+import sys
+from reboost.cli import main
+d = sys.argv[1]
+with open(d + "/d.csv", "w") as fh:
+    fh.write("x,y\\n0,1\\n1,-1\\n2,1\\n3,-1\\n")
+assert main(["train", "--data", d + "/d.csv", "--iterations", "3",
+             "--model-out", d + "/m.txt"]) == 0
+assert main(["predict", "--model", d + "/m.txt", "--data", d + "/d.csv",
+             "--out", d + "/p.csv"]) == 0
+loaded = ["scipy.special" in sys.modules]
+assert main(["train", "--data", d + "/d.csv", "--task", "classification",
+             "--loss", "logistic", "--iterations", "3", "--model-out", d + "/c.txt"]) == 0
+loaded.append("scipy.special" in sys.modules)
+print(*loaded)
+"""
+
+    def test_squared_loss_runs_without_it(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False True"
