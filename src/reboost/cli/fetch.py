@@ -8,17 +8,17 @@ they can be repointed without code changes. Entries whose checksum is
 computed digest (for later pinning). Raw downloads are cached under
 $REBOOST_CACHE_DIR (default ~/.cache/reboost), one file per source URL,
 moved into place once fully written; a warm cache needs no network.
+
+The network and hash modules are imported by the functions that use
+them, so importing the CLI loads no ``ssl``, ``http.client`` or ``email``.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
-import hashlib
 import logging
 import os
-import urllib.error
-import urllib.request
 from importlib import resources
 from pathlib import Path
 
@@ -76,6 +76,9 @@ def load_source_table(path=None) -> configparser.ConfigParser:
 
 
 def _download(url: str, dest: Path) -> None:
+    import urllib.error
+    import urllib.request
+
     dest.parent.mkdir(parents=True, exist_ok=True)
     try:
         with urllib.request.urlopen(url, timeout=60) as response:
@@ -91,6 +94,8 @@ def _download(url: str, dest: Path) -> None:
 
 
 def _verify(path: Path, pinned: str, name: str) -> None:
+    import hashlib
+
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     if pinned.lower() == "unpinned":
         log.warning("dataset %s has no pinned checksum; computed sha256=%s", name, digest)
@@ -111,6 +116,8 @@ def fetch_dataset(name: str, out_dir, url_override: str | None = None,
     malformed; NetworkError / ChecksumError; RawDataError when the
     download does not have the layout of its format.
     """
+    import hashlib
+
     table = load_source_table(table_path)
     if not table.has_section(name):  # DEFAULT is "in" every table, but no section
         raise UnknownDatasetError(f"unknown dataset {name!r}; known: {table.sections()}")

@@ -18,7 +18,8 @@ and ``splits`` are JSON integers (not bools); thresholds, leaf and atom
 values, ``low`` and ``high`` are JSON numbers (not strings or bools); a
 stump or atom feature is >= 0; each tree node is a leaf or a split whose
 children follow it, and each node but the root is the child of exactly
-one split; and ``splits`` is the count of split nodes. Violations raise
+one split; ``splits`` is the count of split nodes; and no stump, atom or
+tree node uses a feature index >= ``features=``. Violations raise
 ``InvalidInputError``.
 """
 
@@ -83,8 +84,9 @@ _RECORD_KEYS = {  # kind -> the keys of its term records
 }
 
 
-def _parse_learner(payload, term: int):
-    """The learner of term record ``payload``, the ``term``-th of the file."""
+def _parse_learner(payload, term: int, n_features: int):
+    """The learner of term record ``payload``, the ``term``-th of a file that
+    declares ``n_features`` features."""
     if type(payload) is not dict:
         raise InvalidInputError(f"model term {term} is not a JSON object: {payload!r}")
     kind = payload.get("kind")
@@ -94,22 +96,28 @@ def _parse_learner(payload, term: int):
         raise InvalidInputError(f"{kind} record keys {sorted(payload)} are not exactly "
                                 f"{sorted(_RECORD_KEYS[kind])}")
     if kind == "stump":
-        return DecisionStump(_int(payload["feature"], "feature"),
-                             _float(payload["threshold"], "threshold"),
-                             _float(payload["left"], "left"), _float(payload["right"], "right"))
-    if kind == "tree":
-        tree = RegressionTree(tuple(
+        learner = DecisionStump(_int(payload["feature"], "feature"),
+                                _float(payload["threshold"], "threshold"),
+                                _float(payload["left"], "left"),
+                                _float(payload["right"], "right"))
+    elif kind == "tree":
+        learner = RegressionTree(tuple(
             TreeNode(_int(f, "node feature"), _float(t, "node threshold"),
                      _int(l, "node child"), _int(r, "node child"), _float(v, "node value"))
             for f, t, l, r, v in payload["nodes"]
         ))
-        if _int(payload["splits"], "splits") != tree.splits:
+        if _int(payload["splits"], "splits") != learner.splits:
             raise InvalidInputError(f"tree record says {payload['splits']} splits, "
-                                    f"its nodes hold {tree.splits}")
-        return tree
-    return IntervalAtom(_float(payload["low"], "low"), _float(payload["high"], "high"),
-                        _float(payload["value"], "value"),
-                        feature=_int(payload["feature"], "feature"))
+                                    f"its nodes hold {learner.splits}")
+    else:
+        learner = IntervalAtom(_float(payload["low"], "low"), _float(payload["high"], "high"),
+                               _float(payload["value"], "value"),
+                               feature=_int(payload["feature"], "feature"))
+    feature = max(n.feature for n in learner.nodes) if kind == "tree" else learner.feature
+    if feature >= n_features:
+        raise InvalidInputError(f"model term {term} ({kind}) uses feature {feature}, "
+                                f"but the model declares features={n_features}")
+    return learner
 
 
 def model_to_text(model: EnsembleModel, loss: LossKind, task: Task, seed: int) -> str:
@@ -212,7 +220,7 @@ def _parse_model(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
         )
     terms = [line.split(" ", 2)[1:] for line in term_lines]  # (coef, payload) texts
     model = EnsembleModel(n_features, [_finite(coef) for coef, _ in terms],
-                          [_parse_learner(_TERM_DECODER.decode(p), i)
+                          [_parse_learner(_TERM_DECODER.decode(p), i, n_features)
                            for i, (_, p) in enumerate(terms, start=1)])
     return model, loss, task, int(fields["seed"])
 

@@ -18,11 +18,12 @@ above ``_MIN_GAIN_REL`` of the node's SSE. One bound per fit,
 reduction above the bound is accepted without reading the node's rows; the
 rest get the exact SSE check. The bound therefore never changes a decision.
 
-A tree is evaluated without row subsets: each split is one full-width
-select over all rows between its children's values, so a J-split tree
-costs J selects. For the J <= 4 trees the experiments and the CLI default
-use, that is faster than splitting the rows node by node; from about
-J = 16 on a few thousand rows the node-by-node walk is faster.
+A tree is evaluated by leaf id: each split computes, over all rows and in
+integer arithmetic, the id of the leaf each row reaches from its
+children's ids, and one gather of the node values gives the outputs. It
+takes no row subsets and does no float arithmetic, and it beat a float
+select per split and a walk that cuts the rows node by node at every J
+from 4 to 64 on 500 to 100,000 rows (see ``RegressionTree.evaluate``).
 """
 
 from __future__ import annotations
@@ -114,24 +115,43 @@ class RegressionTree:
     def evaluate(self, features) -> np.ndarray:
         """The tree's output on every row of ``features``.
 
-        Nodes are valued in reverse index order, so both children of a split
-        are valued before it: a leaf's value is its scalar, and a split's is
-        one full-width ``np.where(X[:, f] <= t, left, right)`` over all rows.
-        Each node has one parent, so a child's array is dropped as soon as
-        its parent has used it. This is O(J * n) work, against O(depth * n)
-        for a walk that cuts the rows in two at each node, but with no
-        per-node gather or scatter. Against such a walk (2-vCPU x86-64,
-        numpy 2.4) a J = 4 tree took 0.5-0.85x the time at 500-100,000
-        rows, a J = 16 tree on 5,000 rows 1.1-1.6x and a J = 64 tree 2-3.5x.
-        The experiments and the CLI default fit J <= 4.
+        Nodes are visited in reverse index order, so both children of a
+        split come before it. A leaf's id is its node index; a split's ids,
+        those of the leaf each row reaches, are
+        right + (X[:, f] <= t) * (left - right) over all rows, in int16
+        (intp above 32,767 nodes). Every ufunc is given its dtype, so no
+        value-based cast narrows the ids and wraps them. One ``take`` of the
+        node values then gives the outputs, so each output is its leaf's
+        value bit for bit. Each node has one parent, so a child's ids are
+        dropped as soon as its parent has used them.
+
+        Per tree (best of repeated calls on 20 fitted trees, 10 features,
+        column-major X, 2-vCPU x86-64, numpy 2.4), against a float
+        ``np.where`` per split and a row walk: J = 4 took 16 µs against 19
+        and 36 µs at 500 rows, and 0.45 ms against 1.63 and 3.47 ms at
+        100,000; J = 64 took 0.36 ms against 1.08 and 0.70 ms at 5,000 rows,
+        and 4.2 ms against 19.2 and 9.2 ms at 100,000.
         """
         X = _design(features, self._max_feature, "tree")
-        value = {}  # node id -> value of a node whose parent is still to come
-        for i in range(len(self.nodes) - 1, -1, -1):
-            n = self.nodes[i]
-            value[i] = n.value if n.is_leaf else np.where(
-                X[:, n.feature] <= n.threshold, value.pop(n.left), value.pop(n.right))
-        return np.full(X.shape[0], value[0]) if self.nodes[0].is_leaf else value[0]
+        nodes = self.nodes
+        if nodes[0].is_leaf:
+            return np.full(X.shape[0], nodes[0].value)
+        dtype = np.int16 if len(nodes) <= 32_767 else np.intp
+        ids = {}  # node id -> leaf ids of a node whose parent is still to come
+        for i in range(len(nodes) - 1, -1, -1):
+            n = nodes[i]
+            if n.is_leaf:
+                ids[i] = i
+                continue
+            left, right = ids.pop(n.left), ids.pop(n.right)
+            go_left = X[:, n.feature] <= n.threshold
+            if type(left) is type(right) is int and left - right == -1:
+                # sibling leaves as fit_tree numbers them: right + go_left * -1
+                ids[i] = np.subtract(right, go_left, dtype=dtype)
+            else:
+                leaf = np.multiply(go_left, np.subtract(left, right, dtype=dtype), dtype=dtype)
+                ids[i] = np.add(leaf, right, out=leaf, dtype=dtype)
+        return np.array([n.value for n in nodes], dtype=float).take(ids[0])
 
     def describe(self) -> str:
         """``tree[J<splits>:f<feature>@<threshold>,...]``, the splits in node

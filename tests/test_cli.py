@@ -199,6 +199,15 @@ class TestPredictModelErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not re.search(r"[A-Z][a-z]+Error", err)
 
+    def test_feature_beyond_the_declared_count_exits_3_at_load(self, tmp_path, model_lines,
+                                                              capsys):
+        i = next(i for i, ln in enumerate(model_lines) if ln.startswith("term "))
+        payload = '{"kind":"stump","feature":2,"threshold":0.0,"left":1.0,"right":2.0}'
+        lines = model_lines[:i + 1] + [f"term 1 {payload}"] + model_lines[i + 2:]
+        assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
+        assert capsys.readouterr().err == ("error: model term 2 (stump) uses feature 2, "
+                                           "but the model declares features=2\n")
+
     def test_non_utf8_model(self, tmp_path, model_lines):
         text = with_checksum(model_lines).encode("utf-8")
         (tmp_path / "model.bin").write_bytes(text.replace(b"seed=", b"\xffseed=", 1))
@@ -647,7 +656,9 @@ class TestRunAsModule:
 
 class TestScipySpecialLoadedOnFirstLogisticUse:
     """``import reboost`` leaves out scipy.special, which is most of its
-    import time and memory; only a margin loss needs it."""
+    import time and memory; only a margin loss needs it. Nor do squared-loss
+    ``train`` and ``predict`` load the network modules that only ``fetch``
+    uses."""
 
     SCRIPT = """
 import sys
@@ -659,7 +670,7 @@ assert main(["train", "--data", d + "/d.csv", "--iterations", "3",
              "--model-out", d + "/m.txt"]) == 0
 assert main(["predict", "--model", d + "/m.txt", "--data", d + "/d.csv",
              "--out", d + "/p.csv"]) == 0
-loaded = ["scipy.special" in sys.modules]
+loaded = [name in sys.modules for name in ("scipy.special", "urllib.request", "ssl")]
 assert main(["train", "--data", d + "/d.csv", "--task", "classification",
              "--loss", "logistic", "--iterations", "3", "--model-out", d + "/c.txt"]) == 0
 loaded.append("scipy.special" in sys.modules)
@@ -671,4 +682,4 @@ print(*loaded)
         done = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path)], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False True"
+        assert done.stdout.splitlines()[-1] == "False False False True"

@@ -286,6 +286,23 @@ class TestEvaluate:
         with pytest.raises(InvalidInputError, match=message):
             model_from_text(model_text([record]))
 
+    @pytest.mark.parametrize("kind, record", [
+        ("stump", '{"kind":"stump","feature":%d,"threshold":0.0,"left":1.0,"right":2.0}'),
+        ("atom", '{"kind":"atom","feature":%d,"low":0.0,"high":1.0,"value":1.0}'),
+        ("tree", '{"kind":"tree","splits":2,"nodes":[[0,0.5,1,2,0],[-1,0,-1,-1,1],'
+                 '[%d,0.5,3,4,0],[-1,0,-1,-1,2],[-1,0,-1,-1,3]]}'),
+    ])
+    def test_feature_beyond_the_declared_count_rejected_at_load(self, kind, record):
+        # otherwise the file loads and predict blames a data file that has
+        # exactly the declared columns
+        features = 3
+        with pytest.raises(InvalidInputError, match=rf"model term 2 \({kind}\) uses feature "
+                                                     rf"3, but the model declares features=3"):
+            model_from_text(model_text([record % 0, record % features], features))
+        model, *_ = model_from_text(model_text([record % 0, record % (features - 1)],
+                                               features))
+        assert model.learners[1].evaluate(np.ones((2, features))).shape == (2,)
+
     def test_interval_atom(self):
         a = IntervalAtom(0.25, 0.5, 2.0)
         X = np.array([[0.2], [0.25], [0.49], [0.5]])
@@ -640,6 +657,70 @@ class TestEvaluateOracle:
         thresholds = np.arange(splits) / splits
         assert np.array_equal(out, np.searchsorted(thresholds, X[:, 0]))
         assert out.tobytes() == walked_evaluate(tree, X).tobytes()
+
+
+    @staticmethod
+    def chain(splits):
+        """A tree whose split i (node 2i) sends x <= i / splits to its left
+        leaf, of value -i, and the rest on: its deepest leaf has id 2 * splits."""
+        nodes = []
+        for i in range(splits):
+            nodes += [TreeNode(0, i / splits, 2 * i + 1, 2 * i + 2), TreeNode(value=-float(i))]
+        return RegressionTree(tuple(nodes) + (TreeNode(value=float(splits)),))
+
+    @pytest.mark.parametrize("splits", [16_383, 16_384])
+    def test_chain_at_the_int16_node_bound(self, splits):
+        # 32,767 nodes keep int16 leaf ids; 32,769 need wider ones, or the
+        # deepest ids wrap to negative and take reads from the wrong end
+        tree = self.chain(splits)
+        assert len(tree.nodes) == 2 * splits + 1
+        X = np.concatenate([np.random.default_rng(27).uniform(size=(300, 1)),
+                            [[1.0], [0.99995], [(splits - 1) / splits], [0.0]]])
+        out = tree.evaluate(X)
+        assert out.tobytes() == walked_evaluate(tree, X).tobytes()
+        assert out[-4] == splits
+
+    def test_model_file_tree_with_children_out_of_order(self):
+        # left > right at every split, and the leaves are not numbered in
+        # the order fit_tree gives them
+        nodes = [[0, 0.0, 3, 1, 0], [1, 0.3, 6, 2, 0], [-1, 0, -1, -1, 2.5],
+                 [1, -0.2, 5, 4, 0], [-1, 0, -1, -1, -1.0], [-1, 0, -1, -1, -0.0],
+                 [-1, 0, -1, -1, 7.0]]
+        record = json.dumps({"kind": "tree", "splits": 3, "nodes": nodes})
+        model, *_ = model_from_text(model_text([record]))
+        tree = model.learners[0]
+        rng = np.random.default_rng(28)
+        X = np.concatenate([rng.uniform(-1.0, 1.0, size=(200, 2)),
+                            [[0.0, 0.3], [0.0, -0.2], [np.nextafter(0.0, 1.0), 0.3]]])
+        out = tree.evaluate(X)
+        assert out.tobytes() == walked_evaluate(tree, X).tobytes()
+        assert set(out.tolist()) == {2.5, -1.0, 0.0, 7.0}
+
+    def test_renumbered_tree_beyond_the_int8_range(self):
+        # a fitted tree of over 300 nodes, renumbered in a random order in
+        # which each child still follows its parent: left - right takes both
+        # signs, and sibling ids differ by more than 127
+        rng = np.random.default_rng(29)
+        X = rng.normal(size=(400, 3))
+        fitted_tree = fit_tree(SplitIndex(X), rng.normal(size=400), 150)
+        fitted = fitted_tree.nodes
+        order, frontier = [], [0]
+        while frontier:
+            i = frontier.pop(int(rng.integers(len(frontier))))
+            order.append(i)
+            if not fitted[i].is_leaf:
+                frontier += [fitted[i].left, fitted[i].right]
+        new_id = {old: new for new, old in enumerate(order)}
+        tree = RegressionTree(tuple(
+            replace(fitted[i], left=new_id[fitted[i].left], right=new_id[fitted[i].right])
+            if not fitted[i].is_leaf else fitted[i] for i in order))
+        gaps = [n.left - n.right for n in tree.nodes if not n.is_leaf]
+        assert len(tree.nodes) > 300 and min(gaps) < 0 < max(gaps)
+        assert max(map(abs, gaps)) > 127
+        rows = np.concatenate([X, rng.normal(size=(100, 3))])
+        out = tree.evaluate(rows)
+        assert out.tobytes() == walked_evaluate(tree, rows).tobytes()
+        assert out.tobytes() == fitted_tree.evaluate(rows).tobytes()
 
 
 class TestLargeTreeOracle:
