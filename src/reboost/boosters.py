@@ -176,7 +176,7 @@ def _selector(spec: LearnerSpec, X: np.ndarray):
     def select(residuals):
         learner = (fit_stump(index, residuals) if isinstance(spec, StumpLearner)
                    else fit_tree(index, residuals, spec.splits))
-        return learner, learner.evaluate(index.X)
+        return learner, learner.evaluate(index.columns.T)  # column-major X
     return select
 
 

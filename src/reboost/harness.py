@@ -158,6 +158,7 @@ def validation_curve(model: EnsembleModel, trace: TrainTrace, val_set: Dataset) 
     scored by one metric call.
     """
     metric = metric_for_task(val_set.task)
+    X = np.asfortranarray(val_set.features)  # each split reads a contiguous column
     steps = list(zip(model.learners, trace.alphas.tolist(), trace.betas.tolist()))
     curve = np.empty(len(steps))
     rows = max(1, CURVE_BUFFER_FLOATS // val_set.n_samples)
@@ -167,7 +168,7 @@ def validation_curve(model: EnsembleModel, trace: TrainTrace, val_set: Dataset) 
         block = buf[:len(steps) - start]
         for row, (learner, alpha, beta) in zip(block, steps[start:start + rows]):
             np.multiply(1.0 - alpha, preds, out=row)
-            row += beta * learner.evaluate(val_set.features)
+            row += beta * learner.evaluate(X)
             preds = row
         curve[start:start + len(block)] = metric(block, val_set.targets)
     return curve

@@ -214,7 +214,6 @@ class SplitIndex:
         X = np.atleast_2d(np.asarray(features, dtype=float))
         if X.shape[0] < 2:
             raise InvalidInputError("need at least 2 rows")
-        self.X = X
         self.columns = np.ascontiguousarray(X.T)  # row f: feature f of every row
         order = np.argsort(self.columns, axis=1, kind="stable")
         values = np.take_along_axis(self.columns, order, axis=1)
@@ -227,7 +226,7 @@ class SplitIndex:
 
     @property
     def n_rows(self) -> int:
-        return self.X.shape[0]
+        return self.columns.shape[1]
 
     def partition(self, node: NodeSlice, feature: int,
                   threshold: float) -> tuple[NodeSlice, NodeSlice]:
@@ -306,7 +305,7 @@ def fit_stump(index: SplitIndex, residuals) -> DecisionStump:
     found = index.best_split(r, index.root)
     if found is None:
         mu = float(r.mean())
-        return DecisionStump(0, float(index.X[0, 0]), mu, mu)
+        return DecisionStump(0, float(index.columns[0, 0]), mu, mu)
     _, j, thr, _, _ = found
     left = index.columns[j] <= thr
     # leaf means recomputed from the partition masks (not the prefix sums)

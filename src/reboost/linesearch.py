@@ -2,11 +2,14 @@
 
 Squared loss has a closed form, the only loss formula in this module. For
 the logistic and exponential losses R is convex and ``losses.risk_slope``
-gives R' and R''. One loop (``_search``) runs safeguarded Newton on R' from
-beta = 0 toward the descent side: the Newton step of Friedman's TreeBoost
-and of XGBoost, first taken from 0. Until R' changes sign the bracket is
-open and each probe at least doubles its distance from 0; once it closes,
-Newton steps that leave the bracket or stop shrinking give way to bisection.
+gives R' and R'' in numpy alone. A search runs all its probes under one
+``np.errstate`` that lets exp overflow quietly: the +inf it gives is the
+value meant there (a logistic weight of 0, an infinite exponential loss).
+One loop (``_search``) runs safeguarded Newton on R' from beta = 0 toward
+the descent side: the Newton step of Friedman's TreeBoost and of XGBoost,
+first taken from 0. Until R' changes sign the bracket is open and each
+probe at least doubles its distance from 0; once it closes, Newton steps
+that leave the bracket or stop shrinking give way to bisection.
 
 An optional bound t restricts the search to [-t, t]; without one the search
 runs over [-2**60, 2**60]. R is convex, so the bounded minimizer is the
@@ -103,7 +106,8 @@ def line_search(kind: LossKind, base_preds, gvals, targets,
     if not np.any(g != 0.0):
         raise DegenerateDirectionError("direction is identically zero")
     edge = _EDGE if bound is None else bound
-    beta = _search(risk_slope(kind, base, g, y), edge)
+    with np.errstate(over="ignore"):  # e^z past 709.78 in a probe; +inf is meant
+        beta = _search(risk_slope(kind, base, g, y), edge)
     if bound is None and abs(beta) == edge:
         raise UnboundedDescentError(f"R' keeps the descent sign up to the edge {beta}", beta)
     return beta

@@ -2,10 +2,13 @@
 
 Squared loss is (f - y)^2. The logistic and exponential losses take labels
 y in {-1, +1} and are phi(z) = log(1 + e^-z) or e^-z at the margin z = y f,
-with the weight w(z) = -phi'(z) = expit(-z) or e^-z and the curvature
+with the weight w(z) = -phi'(z) = 1 / (1 + e^z) or e^-z and the curvature
 phi''(z) = w (1 - w) or w. ``loss_value`` and ``empirical_risk`` use phi,
 ``loss_derivative`` and ``pseudo_residuals`` use w, and ``risk_slope`` uses
-w and phi'' for the derivatives of the risk along a direction.
+w and phi'' for the derivatives of the risk along a direction. Everything
+is numpy: the logistic weight is numpy's ``exp``, with e^z overflowing to
++inf above z = 709.78 and w to 0 there, as ``1 / (1 + exp(z))`` does in
+any libm.
 
 All functions are vectorized over numpy arrays and accept scalars. The
 logistic loss is overflow-safe; the exponential loss returns +inf once exp
@@ -23,7 +26,6 @@ the kernels at every step.
 from __future__ import annotations
 
 import enum
-import functools
 
 import numpy as np
 
@@ -38,20 +40,6 @@ class LossKind(enum.Enum):
     @property
     def is_classification(self) -> bool:
         return self is not LossKind.SQUARED
-
-
-@functools.cache
-def _margin_weight(kind: LossKind):
-    """The margin weight w(z) = -phi'(z) of a margin loss, as a ufunc of -z.
-
-    scipy.special is imported here, on the first logistic use, and not with
-    this module: it is most of the import time and memory of a run that
-    uses no margin loss. The cache makes later calls a lookup.
-    """
-    if kind is LossKind.EXPONENTIAL:
-        return np.exp
-    from scipy.special import expit
-    return expit
 
 
 def _checked(kind: LossKind, f, y) -> tuple[np.ndarray, np.ndarray]:
@@ -78,7 +66,9 @@ def _residuals(kind: LossKind, f: np.ndarray, y: np.ndarray) -> np.ndarray:
     if kind is LossKind.SQUARED:
         return -2.0 * (f - y)  # -0 where f = y, as -(2 (f - y)); 2 (y - f) gives +0
     with np.errstate(over="ignore"):
-        return y * _margin_weight(kind)(-y * f)
+        if kind is LossKind.LOGISTIC:
+            return y / (1.0 + np.exp(y * f))  # y w, as y = +-1
+        return y * np.exp(-y * f)
 
 
 def _risk(kind: LossKind, f: np.ndarray, y: np.ndarray) -> float:
@@ -119,22 +109,33 @@ def risk_slope(kind: LossKind, base, g, y):
     With z = y (base + beta g), R' = -mean(y g w(z)) and
     R'' = mean((y g)^2 phi''(z)). Precomputing y*base, y*g and (y*g)**2
     makes each evaluation one pass over the sample, with the means taken
-    as dot products.
+    as dot products. Each evaluation writes w, and for the logistic loss
+    w (1 - w), into two buffers made here, so it allocates no array.
+
+    e^z overflows once z > 709.78 (the exponential loss: once -z does),
+    and numpy then warns. An evaluation does not silence that itself: an
+    ``np.errstate`` per evaluation added about a third to its time at
+    n = 200 (numpy 2.4, x86-64). Call the closure under
+    ``np.errstate(over="ignore")``, as ``linesearch.line_search`` does
+    once per search.
     """
     if not kind.is_classification:
         raise InvalidInputError(f"risk_slope needs a margin loss, got {kind.value}")
     base, y = _checked(kind, base, y)
     g = np.asarray(g, dtype=float)
-    weight, m = _margin_weight(kind), y.size
+    m = y.size
     yb, yg = y * base, y * g
     yg2 = yg * yg
-    if kind is LossKind.LOGISTIC:
-        def slope(b: float) -> tuple[float, float]:
-            w = weight(-(yb + b * yg))
-            return -float(yg @ w) / m, float(yg2 @ (w * (1.0 - w))) / m
-    else:
-        def slope(b: float) -> tuple[float, float]:
-            with np.errstate(over="ignore"):  # R' and R'' become +-inf with w
-                w = weight(-(yb + b * yg))
-                return -float(yg @ w) / m, float(yg2 @ w) / m
+    logistic = kind is LossKind.LOGISTIC
+    w = np.empty(m)
+    curvature = np.empty(m) if logistic else w  # phi''(z), which is w for e^-z
+
+    def slope(b: float) -> tuple[float, float]:
+        np.add(yb, np.multiply(yg, b, out=w), out=w)  # z
+        if logistic:  # w = 1 / (1 + e^z)
+            np.reciprocal(np.add(np.exp(w, out=w), 1.0, out=w), out=w)
+            np.multiply(w, np.subtract(1.0, w, out=curvature), out=curvature)
+        else:  # w = e^-z
+            np.exp(np.negative(w, out=w), out=w)
+        return -float(yg @ w) / m, float(yg2 @ curvature) / m
     return slope

@@ -111,6 +111,20 @@ class TestShrinkageSchedule:
             Epsilon(-0.5)
 
 
+class TestSelector:
+    @pytest.mark.parametrize("spec", [StumpLearner(), TreeLearner(4)])
+    def test_outputs_equal_row_major_evaluation(self, spec):
+        # the select evaluates on the index's column-major copy; a split
+        # only compares and gathers, so the outputs match a row-major X
+        data = regression_data(seed=7, m=200, d=5)
+        select = boosters._selector(spec, data.features)
+        rows = np.ascontiguousarray(data.features)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            learner, g = select(rng.standard_normal(200))
+            assert g.tobytes() == learner.evaluate(rows).tobytes()
+
+
 class TestTrainBasics:
     def test_first_iteration_plain_equals_rescale(self):
         # rescaling f_0 = 0 is a no-op, so k*=1 paths coincide

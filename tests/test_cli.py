@@ -654,11 +654,11 @@ class TestRunAsModule:
         assert "usage: reboost" in (done.stdout if code == 0 else done.stderr)
 
 
-class TestScipySpecialLoadedOnFirstLogisticUse:
-    """``import reboost`` leaves out scipy.special, which is most of its
-    import time and memory; only a margin loss needs it. Nor do squared-loss
-    ``train`` and ``predict`` load the network modules that only ``fetch``
-    uses."""
+class TestNoScipyLoaded:
+    """The library is numpy alone: squared-loss ``train`` and ``predict``,
+    logistic ``train`` and the orange ``simulate`` load no scipy module. Nor
+    do squared-loss ``train`` and ``predict`` load the network modules that
+    only ``fetch`` uses."""
 
     SCRIPT = """
 import sys
@@ -670,16 +670,18 @@ assert main(["train", "--data", d + "/d.csv", "--iterations", "3",
              "--model-out", d + "/m.txt"]) == 0
 assert main(["predict", "--model", d + "/m.txt", "--data", d + "/d.csv",
              "--out", d + "/p.csv"]) == 0
-loaded = [name in sys.modules for name in ("scipy.special", "urllib.request", "ssl")]
+loaded = [name in sys.modules for name in ("urllib.request", "ssl")]
 assert main(["train", "--data", d + "/d.csv", "--task", "classification",
              "--loss", "logistic", "--iterations", "3", "--model-out", d + "/c.txt"]) == 0
-loaded.append("scipy.special" in sys.modules)
+assert main(["simulate", "--experiment", "orange", "--runs", "1", "--k-max", "3",
+             "--report-out", d + "/s.csv"]) == 0
+loaded.append(any(name == "scipy" or name.startswith("scipy.") for name in sys.modules))
 print(*loaded)
 """
 
-    def test_squared_loss_runs_without_it(self, tmp_path):
+    def test_runs_without_scipy(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
         done = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path)], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False False False True"
+        assert done.stdout.splitlines()[-1] == "False False False"

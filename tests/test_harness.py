@@ -34,7 +34,7 @@ from reboost.harness import (
     variant_cells,
 )
 from reboost.losses import LossKind
-from reboost.synthdata import gen_orange
+from reboost.synthdata import M2Spec, gen_orange, gen_regression
 
 
 def toy_dataset(seed=0, m=80):
@@ -175,12 +175,14 @@ class TestPathPredictions:
 
 def replayed_curve(model, trace, val_set):
     """The per-step replay validation_curve ran before it scored its
-    prefixes in buffers: one 1-D metric call after every step."""
+    prefixes in buffers: one 1-D metric call after every step, each learner
+    evaluated on the row-major features."""
     metric = metric_for_task(val_set.task)
+    X = np.ascontiguousarray(val_set.features)
     preds = np.zeros(val_set.n_samples)
     curve = []
     for rec, learner in zip(trace.records, model.learners):
-        preds = (1.0 - rec.alpha) * preds + rec.beta * learner.evaluate(val_set.features)
+        preds = (1.0 - rec.alpha) * preds + rec.beta * learner.evaluate(X)
         curve.append(metric(preds, val_set.targets))
     return np.array(curve)
 
@@ -197,8 +199,15 @@ def classification_path():
     return (*train(gen_orange(40, 1, 6), config, 0), gen_orange(25, 1, 7))
 
 
+def m2_tree_path():
+    config = TrainConfig(30, LossKind.SQUARED, TreeLearner(4),
+                         Rescale(ShrinkageSchedule.experimental(5.0)))
+    data = gen_regression(M2Spec(200, 0.3), "train", 10)
+    return (*train(data, config, 0), gen_regression(M2Spec(150, 0.3), "validation", 11))
+
+
 class TestValidationCurve:
-    @pytest.mark.parametrize("make", [regression_path, classification_path])
+    @pytest.mark.parametrize("make", [regression_path, classification_path, m2_tree_path])
     def test_equals_per_step_replay(self, make):
         model, trace, val = make()
         curve = validation_curve(model, trace, val)

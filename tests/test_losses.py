@@ -1,7 +1,11 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from reboost.core import InvalidInputError
+from reboost.linesearch import line_search
 from reboost.losses import (
     LossKind,
     empirical_risk,
@@ -112,6 +116,87 @@ class TestPseudoResiduals:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError, match="equal lengths"):
             pseudo_residuals(LossKind.SQUARED, [0.0], [1.0, 2.0])
+
+
+def reference_weight(x: float) -> float:
+    """1 / (1 + e^-x), the logistic weight at margin -x, with libm's exp;
+    0 where e^-x overflows, as the float formula gives."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
+def ulp_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Doubles between a and b, for a, b >= 0 (their bit patterns order as
+    integers there)."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+class TestLogisticWeight:
+    """The logistic weight w = 1 / (1 + e^(y f)) of ``pseudo_residuals`` and
+    of the ``risk_slope`` probe, computed with numpy's exp, against libm's.
+
+    MAX_ULP was fixed before the test first ran. numpy's vectorized float64
+    exp may differ from libm's by a few ULP (4 was seen against
+    scipy.special.expit, which is this reference), and the add and the
+    divide each round once more; 8 leaves room for that and no more.
+    """
+
+    MAX_ULP = 8
+
+    @staticmethod
+    def margins(size: int) -> np.ndarray:
+        rng = np.random.default_rng(25)
+        edges = [0.0, -0.0, 1e-300, -1e-300, 708.0, 709.78, 709.79, 710.0, 745.0, 746.0]
+        edges += [-e for e in edges] + [800.0, -800.0]
+        return np.concatenate([edges, rng.uniform(-800.0, 800.0, size),
+                               rng.uniform(-40.0, 40.0, size // 4)])
+
+    def test_residuals_within_ulp_of_libm(self):
+        x = self.margins(200_000)
+        expected = np.array([reference_weight(v) for v in x.tolist()])
+        got = pseudo_residuals(LossKind.LOGISTIC, -x, np.ones_like(x))
+        assert np.array_equal(got == 0.0, expected == 0.0)  # 0 exactly where libm gives 0
+        assert int(np.max(ulp_distance(got, expected))) <= self.MAX_ULP
+
+    def test_probe_within_ulp_of_libm(self):
+        # a one-row risk at beta = 0 has R' = -w and R'' = w (1 - w) of that row
+        one = np.ones(1)
+        for v in self.margins(2_000).tolist():
+            with np.errstate(over="ignore"):
+                d1, d2 = risk_slope(LossKind.LOGISTIC, np.array([-v]), one, one)(0.0)
+            w = reference_weight(v)
+            assert (d1 == 0.0) == (w == 0.0), v
+            assert ulp_distance(np.array([-d1]), np.array([w]))[0] <= self.MAX_ULP, v
+            assert d2 == (-d1) * (1.0 + d1), v
+
+    def test_half_at_zero(self):
+        got = pseudo_residuals(LossKind.LOGISTIC, [0.0, -0.0], [1.0, -1.0])
+        assert got.tolist() == [0.5, -0.5]
+        one = np.ones(1)
+        assert risk_slope(LossKind.LOGISTIC, np.zeros(1), one, one)(0.0) == (-0.5, 0.25)
+
+    def test_far_margins_raise_no_warning(self):
+        f = np.array([800.0, -800.0, 710.0, -710.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pseudo_residuals(LossKind.LOGISTIC, f, np.ones(4))
+            assert got.tolist() == [0.0, 1.0, 0.0, 1.0]
+            assert loss_derivative(LossKind.LOGISTIC, 800.0, 1.0) == 0.0
+            # e^z overflows on the first row at every probe; on the other two
+            # R' = 0 where 2 w(2 beta) = w(-beta), i.e. e^beta = u with u^3 = u + 2
+            beta = line_search(LossKind.LOGISTIC, np.array([800.0, 0.0, 0.0]),
+                               np.array([1.0, 1.0, 2.0]), np.array([1.0, -1.0, 1.0]))
+        assert beta == pytest.approx(math.log(1.5213797068045676), rel=1e-12)
+
+    def test_scalar_and_zero_d(self):
+        for f, y in ((2.0, 1.0), (np.array(2.0), np.array(1.0)), (-2.0, -1.0)):
+            got = pseudo_residuals(LossKind.LOGISTIC, f, y)
+            assert np.ndim(got) == 0
+            assert float(got) == y * reference_weight(-2.0)
+        assert loss_derivative(LossKind.LOGISTIC, np.array(800.0), np.array(1.0)) == 0.0
+        assert loss_derivative(LossKind.LOGISTIC, 0.0, 1.0) == -0.5
 
 
 class TestRiskSlope:
