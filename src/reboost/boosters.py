@@ -213,7 +213,7 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
         raise InvalidInputError(f"{config.loss.value} loss needs a classification dataset")
 
     X, y = data.features, data.targets
-    trace = TrainTrace()
+    trace = TrainTrace(data.n_features)
     preds = np.zeros(data.n_samples)
 
     select = _selector(config.learner, X)
@@ -233,7 +233,7 @@ def train(data: Dataset, config: TrainConfig, seed: int = 0) -> tuple[EnsembleMo
         preds = base + beta * gvals
         trace.add(learner, beta, alpha, _risk(config.loss, preds, y), note)
 
-    return EnsembleModel.from_path(trace.learners, trace, n_features=data.n_features), trace
+    return trace.model(), trace
 
 
 def excess_risk_trace(trace: TrainTrace, reference: float) -> np.ndarray:

@@ -6,11 +6,12 @@ and predictions round-trip exactly. A CRC-32 footer over all preceding
 lines guards against truncation and corruption.
 
 Every line between the format line and the footer is a term or one of
-the six header fields, each present once. A margin loss needs
-``task=binary-classification``; ``features=`` must be >= 1. The model has
-no intercept: ``intercept=0`` is written so that files load across
-versions, and no other value loads. A term record is a JSON object with
-a string ``kind``, and holds exactly the keys of its kind in
+the six header fields, each present once. The format version,
+``features=``, ``terms=`` and ``seed=`` are ASCII digits alone. A margin
+loss needs ``task=binary-classification``; ``features=`` must be >= 1.
+The model has no intercept: ``intercept=0`` is written so that files load
+across versions, and no other value loads. A term record is a JSON object
+with a string ``kind``, and holds exactly the keys of its kind in
 ``_RECORD_KEYS``, each once: a record with another key, such as the
 ``scale`` of old files, or with a key repeated is rejected. Its JSON
 numbers are finite; stump, atom and node ``feature``, tree child indices
@@ -121,6 +122,10 @@ def _parse_learner(payload, term: int, n_features: int):
 
 
 def model_to_text(model: EnsembleModel, loss: LossKind, task: Task, seed: int) -> str:
+    """The model file text; ``seed`` must be an int >= 0, as the reader
+    takes only ASCII digits there."""
+    if type(seed) is not int or seed < 0:
+        raise InvalidInputError(f"model seed must be an int >= 0, got {seed!r}")
     lines = [
         f"{FORMAT_NAME} {FORMAT_VERSION}",
         f"loss={loss.value}",
@@ -177,6 +182,15 @@ _TERM_DECODER = json.JSONDecoder(object_pairs_hook=_object, parse_float=_finite,
                                  parse_constant=_finite)
 
 
+def _digits(text: str, field: str) -> int:
+    """A header count as the writer writes it: ASCII digits alone, with no
+    sign, space, underscore or digit of another script, all of which int()
+    would take."""
+    if not (text.isascii() and text.isdigit()):
+        raise InvalidInputError(f"model {field} must be ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _parse_model(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
     lines = text.splitlines()
     if not lines or not lines[-1].startswith("checksum="):
@@ -192,7 +206,7 @@ def _parse_model(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
     header = lines[0].split()
     if len(header) != 2 or header[0] != FORMAT_NAME:
         raise InvalidInputError("not a model file")
-    if int(header[1]) != FORMAT_VERSION:
+    if _digits(header[1], "format version") != FORMAT_VERSION:
         raise InvalidInputError(f"unsupported model format version {header[1]}")
 
     term_lines = [line for line in lines[1:-1] if line.startswith("term ")]
@@ -210,10 +224,10 @@ def _parse_model(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
                                 f"task={Task.CLASSIFICATION.value}, got task={task.value}")
     if float(fields["intercept"]) != 0.0:
         raise InvalidInputError(f"model intercept must be 0, got {fields['intercept']}")
-    n_features = int(fields["features"])
+    n_features = _digits(fields["features"], "features=")
     if n_features < 1:
         raise InvalidInputError(f"model features= must be >= 1, got {n_features}")
-    declared = int(fields["terms"])
+    declared = _digits(fields["terms"], "terms=")
     if declared != len(term_lines):
         raise InvalidInputError(
             f"model declares {declared} terms but has {len(term_lines)}"
@@ -222,7 +236,7 @@ def _parse_model(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
     model = EnsembleModel(n_features, [_finite(coef) for coef, _ in terms],
                           [_parse_learner(_TERM_DECODER.decode(p), i, n_features)
                            for i, (_, p) in enumerate(terms, start=1)])
-    return model, loss, task, int(fields["seed"])
+    return model, loss, task, _digits(fields["seed"], "seed=")
 
 
 def load_model(path) -> tuple[EnsembleModel, LossKind, Task, int]:

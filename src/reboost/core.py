@@ -1,11 +1,14 @@
 """Shared domain types: datasets, additive ensemble models, traces, truncation.
 
-A training trace is stored as columns: the step learners (references
-shared with the model), float64 arrays of beta, alpha and risk, the notes
-of the steps that have one, and ``stopped_early``. Its ``TraceRecord``
-rows are built on each read of ``records`` and not cached. The ensemble
-model is a value built once: one read-only coefficient per term, computed
-for a recorded path from the path's alpha and beta columns.
+A training trace is the one recorded value of a run's path
+f_k = (1 - alpha_k) f_{k-1} + beta_k g_k. It is stored as columns: the
+step learners (references shared with the models built from it), float64
+arrays of beta, alpha and risk, the notes of the steps that have one, the
+feature count of the training data, and ``stopped_early``. ``add`` is the
+one way to write a step, and ``model(k)`` the one way to build the model
+of a prefix: an ``EnsembleModel``, a value built once with one read-only
+coefficient per term. The trace's ``TraceRecord`` rows are built on each
+read of ``records`` and not cached.
 """
 
 from __future__ import annotations
@@ -109,25 +112,25 @@ class TraceRecord:
 
 
 class TrainTrace:
-    """Ordered per-iteration history of a training run, stored as columns.
+    """Ordered per-iteration history of a training run on ``n_features``
+    features, stored as columns.
 
     Step k (k = 1, 2, ...) is ``learners[k - 1]``, the learner itself,
-    shared with the model and not copied, and float64 entries of the beta,
+    shared with the models and not copied, and float64 entries of the beta,
     alpha and risk columns; a note (``capped-beta``) is kept only for the
-    steps that have one. ``betas``, ``alphas`` and ``risks`` return copies
-    of the columns, so a later step cannot change or block them.
-    ``records`` builds the ``TraceRecord`` rows, descriptions included, on
-    each read and does not cache them. A trace built from records keeps
-    their learner strings as its learners.
+    steps that have one. ``add`` writes the next step; ``model(k)`` builds
+    the model of the first k steps. ``betas``, ``alphas`` and ``risks``
+    return copies of the columns, so a later step cannot change or block
+    them. ``records`` builds the ``TraceRecord`` rows, descriptions
+    included, on each read and does not cache them.
     """
 
-    def __init__(self, records=(), stopped_early: str | None = None):
+    def __init__(self, n_features: int):
+        self.n_features = n_features
         self.learners: list = []
         self._betas, self._alphas, self._risks = array("d"), array("d"), array("d")
         self._notes: dict[int, str] = {}  # k -> note, for the steps that have one
-        self.stopped_early = stopped_early
-        for rec in records:
-            self.append(rec)
+        self.stopped_early: str | None = None
 
     def add(self, learner, beta: float, alpha: float, risk: float, note: str = "") -> None:
         """Record the next step, k = len(self) + 1; its risk must be finite."""
@@ -141,19 +144,27 @@ class TrainTrace:
         if note:
             self._notes[k] = note
 
-    def append(self, rec: TraceRecord) -> None:
-        if rec.k != len(self.learners) + 1:
-            raise InvalidInputError("trace records must be ordered k=1,2,...")
-        # floats first, so a value that is not a number leaves the columns unchanged
-        self.add(rec.learner, float(rec.beta), float(rec.alpha), rec.risk, rec.note)
-
     def __len__(self) -> int:
         return len(self.learners)
 
+    def model(self, k: int | None = None) -> EnsembleModel:
+        """The model f_k of the first k (default: all) steps of the recorded
+        path f_k = (1 - alpha_k) f_{k-1} + beta_k g_k, f_0 = 0, with
+        g_j = ``learners[j - 1]``: term j is beta_j * prod_{i=j+1..k} (1 - alpha_i)."""
+        k = len(self) if k is None else k
+        if not 0 <= k <= len(self):
+            raise InvalidInputError(f"prefix {k} outside the recorded path of {len(self)}")
+        alphas = self.alphas[:k]
+        bad = np.flatnonzero(~((alphas >= 0.0) & (alphas <= 1.0)))  # NaN too
+        if bad.size:
+            raise InvalidInputError(f"alpha_{bad[0] + 1} = {alphas[bad[0]]} outside [0, 1]")
+        keep = np.ones(k)  # term j keeps prod_{i=j+1..k} (1 - alpha_i)
+        keep[:-1] = np.cumprod(1.0 - alphas[:0:-1])[::-1]
+        return EnsembleModel(self.n_features, self.betas[:k] * keep, self.learners[:k])
+
     @property
     def records(self) -> list[TraceRecord]:
-        return [TraceRecord(k, g if isinstance(g, str) else g.describe(), beta, alpha, risk,
-                            self._notes.get(k, ""))
+        return [TraceRecord(k, g.describe(), beta, alpha, risk, self._notes.get(k, ""))
                 for k, (g, beta, alpha, risk)
                 in enumerate(zip(self.learners, self._betas, self._alphas, self._risks), 1)]
 
@@ -186,23 +197,6 @@ class EnsembleModel:
         if self.coefs.shape != (len(self.learners),):
             raise InvalidInputError(f"coefs of shape {self.coefs.shape} for "
                                     f"{len(self.learners)} learners")
-
-    @classmethod
-    def from_path(cls, learners, trace: TrainTrace, upto: int | None = None, *,
-                  n_features: int) -> "EnsembleModel":
-        """The model f_k of the first k = ``upto`` (default: all) steps of the
-        recorded path f_k = (1 - alpha_k) f_{k-1} + beta_k g_k, f_0 = 0, with
-        g_j = ``learners[j - 1]``: term j is beta_j * prod_{i=j+1..k} (1 - alpha_i)."""
-        k = len(trace) if upto is None else upto
-        if not 0 <= k <= len(trace):
-            raise InvalidInputError(f"prefix {k} outside the recorded path of {len(trace)}")
-        alphas = trace.alphas[:k]
-        bad = np.flatnonzero(~((alphas >= 0.0) & (alphas <= 1.0)))  # NaN too
-        if bad.size:
-            raise InvalidInputError(f"alpha_{bad[0] + 1} = {alphas[bad[0]]} outside [0, 1]")
-        keep = np.ones(k)  # term j keeps prod_{i=j+1..k} (1 - alpha_i)
-        keep[:-1] = np.cumprod(1.0 - alphas[:0:-1])[::-1]
-        return cls(n_features, trace.betas[:k] * keep, learners[:k])
 
     def __len__(self) -> int:
         return len(self.learners)

@@ -206,8 +206,7 @@ def tune(train_set: Dataset, val_set: Dataset, method: str, grid: TuningGrid,
     if best is None:
         raise TuningError(f"every grid cell failed for method {method!r}")
     (val_metric, k, _), label, trace = best
-    model = EnsembleModel.from_path(trace.learners, trace, k, n_features=train_set.n_features)
-    return TuneResult(label, k, val_metric, model)
+    return TuneResult(label, k, val_metric, trace.model(k))
 
 
 def repeat_experiment(provider, methods, grid: TuningGrid, loss, learner,

@@ -3,12 +3,12 @@
 Squared loss is (f - y)^2. The logistic and exponential losses take labels
 y in {-1, +1} and are phi(z) = log(1 + e^-z) or e^-z at the margin z = y f,
 with the weight w(z) = -phi'(z) = 1 / (1 + e^z) or e^-z and the curvature
-phi''(z) = w (1 - w) or w. ``loss_value`` and ``empirical_risk`` use phi,
-``loss_derivative`` and ``pseudo_residuals`` use w, and ``risk_slope`` uses
-w and phi'' for the derivatives of the risk along a direction. Everything
-is numpy: the logistic weight is numpy's ``exp``, with e^z overflowing to
-+inf above z = 709.78 and w to 0 there, as ``1 / (1 + exp(z))`` does in
-any libm.
+phi''(z) = w (1 - w) or w. The kernel ``_loss`` and ``empirical_risk`` use
+phi, the kernel ``_residuals`` (the negative gradient -d/df) uses w, and
+``risk_slope`` uses w and phi'' for the derivatives of the risk along a
+direction. Everything is numpy: the logistic weight is numpy's ``exp``,
+with e^z overflowing to +inf above z = 709.78 and w to 0 there, as
+``1 / (1 + exp(z))`` does in any libm.
 
 All functions are vectorized over numpy arrays and accept scalars. The
 logistic loss is overflow-safe; the exponential loss returns +inf once exp
@@ -16,11 +16,12 @@ would overflow, and R' and R'' from ``risk_slope`` become infinite too. The
 line search reads a probe there as lying past the minimizer and bisects
 back, so callers need not keep searches out of that region.
 
-Each public function checks its arguments (shapes, and labels in {-1, +1}
-for the margin losses), raising InvalidInputError, and then calls a private
-kernel that checks nothing: ``_loss``, ``_residuals`` or ``_risk``.
-``boosters.train`` checks its dataset and loss once on entry and then calls
-the kernels at every step.
+Only the two public functions check their arguments, raising
+InvalidInputError: ``empirical_risk`` its shapes, and ``risk_slope`` that
+its loss is a margin loss; both, labels in {-1, +1} for the margin
+losses. The private kernels ``_loss``, ``_residuals`` and ``_risk`` check
+nothing: ``boosters.train`` checks its dataset and loss once on entry and
+then calls them at every step.
 """
 
 from __future__ import annotations
@@ -76,30 +77,12 @@ def _risk(kind: LossKind, f: np.ndarray, y: np.ndarray) -> float:
     return float(np.add.reduce(v) / v.size)  # np.mean(v) bit for bit, without its overhead
 
 
-def loss_value(kind: LossKind, f, y):
-    """Pointwise loss of prediction ``f`` against target ``y``."""
-    return _loss(kind, *_checked(kind, f, y))
-
-
-def loss_derivative(kind: LossKind, f, y):
-    """d/df of the pointwise loss: -y w(y f) for the margin losses."""
-    return -_residuals(kind, *_checked(kind, f, y))
-
-
 def empirical_risk(kind: LossKind, preds, targets) -> float:
     """Mean pointwise loss over the sample."""
     preds, targets = _checked(kind, preds, targets)
     if preds.shape != targets.shape or preds.size < 1:
         raise InvalidInputError("preds and targets must be equal-length, nonempty")
     return _risk(kind, preds, targets)
-
-
-def pseudo_residuals(kind: LossKind, preds, targets) -> np.ndarray:
-    """Per-sample negative gradient; the regression target for weak learners."""
-    preds, targets = _checked(kind, preds, targets)
-    if preds.shape != targets.shape:
-        raise InvalidInputError("preds and targets must have equal lengths")
-    return _residuals(kind, preds, targets)
 
 
 def risk_slope(kind: LossKind, base, g, y):

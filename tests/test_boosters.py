@@ -32,7 +32,7 @@ from reboost.core import (
 )
 from reboost.learners import DecisionStump, IntervalAtom
 from reboost.linesearch import line_search
-from reboost.losses import LossKind, empirical_risk, pseudo_residuals
+from reboost.losses import LossKind, _residuals, empirical_risk
 from reboost.synthdata import SparseDictionarySpec, gen_orange, gen_sparse_dictionary_instance
 
 
@@ -247,7 +247,7 @@ class TestRescaleDynamics:
         for rec, learner in zip(trace.records, model.learners):
             g = learner.evaluate(X)
             preds = (1.0 - rec.alpha) * preds + rec.beta * g
-            assert abs(np.mean(pseudo_residuals(LossKind.SQUARED, preds, y) * g)) <= 1e-6
+            assert abs(np.mean(_residuals(LossKind.SQUARED, preds, y) * g)) <= 1e-6
 
     def test_relative_progress(self):
         # risk after the step never exceeds the risk of the rescaled base
@@ -334,7 +334,7 @@ class TestVariants:
         preds = np.zeros(data.n_samples)
         for rec, learner in zip(trace.records, model.learners):
             g = learner.evaluate(X)
-            u = pseudo_residuals(LossKind.SQUARED, preds, y)
+            u = _residuals(LossKind.SQUARED, preds, y)
             assert np.sign(rec.beta) == np.sign(np.mean(u * g))
             preds = preds + rec.beta * g
 
@@ -351,7 +351,7 @@ class TestVariants:
         preds = np.zeros(data.n_samples)
         for rec, learner in zip(trace.records, model.learners):
             g = learner.evaluate(X)
-            r = pseudo_residuals(LossKind.SQUARED, preds, y)
+            r = _residuals(LossKind.SQUARED, preds, y)
             assert rec.beta == eps * np.sign(r @ g)
             preds = preds + rec.beta * g
         assert any(rec.beta < 0.0 for rec in trace.records)
@@ -386,7 +386,6 @@ class TestExponentialSeparable:
         assert trace.records[0].note == "capped-beta"
         assert abs(trace.records[0].beta) == 2.0 ** 60
         assert trace.records[0].risk == 0.0  # fully separated afterwards
-        assert TrainTrace(trace.records).records == trace.records
 
 
 class TestFarMinimizer:
@@ -425,22 +424,25 @@ class TestTraceColumns:
     ], ids=["plain", "rescale", "shrunk", "truncated", "epsilon"])
     def test_trace_rebuilt_from_its_records_is_bit_identical(self, problem, variant):
         data, loss, learner = COLUMN_PROBLEMS[problem]()
-        _, trace = train(data, TrainConfig(25, loss, learner, variant), 0)
+        model, trace = train(data, TrainConfig(25, loss, learner, variant), 0)
         assert len(trace) > 0
-        rebuilt = TrainTrace(trace.records, stopped_early=trace.stopped_early)
+        rebuilt = TrainTrace(trace.n_features)
+        for g, r in zip(trace.learners, trace.records):
+            rebuilt.add(g, r.beta, r.alpha, r.risk, r.note)
         assert rebuilt.records == trace.records
-        assert rebuilt.stopped_early == trace.stopped_early
         for column in ("risks", "betas", "alphas"):
             got, want = getattr(rebuilt, column), getattr(trace, column)
             assert got.dtype == want.dtype == np.float64
             assert got.tobytes() == want.tobytes()
+        assert rebuilt.model().coefs.tobytes() == model.coefs.tobytes()
 
+        extra = trace.learners[0]
         for t in (trace, rebuilt):  # a column read earlier neither blocks nor sees a step
             n, risks = len(t), t.risks
-            t.append(TraceRecord(n + 1, "extra", 0.5, 0.25, 0.125))
+            t.add(extra, 0.5, 0.25, 0.125)
             assert len(t) == n + 1 and risks.size == n
             assert t.risks.tolist() == risks.tolist() + [0.125]
-            assert t.records[-1] == TraceRecord(n + 1, "extra", 0.5, 0.25, 0.125)
+            assert t.records[-1] == TraceRecord(n + 1, extra.describe(), 0.5, 0.25, 0.125)
 
     def test_descriptions_are_made_on_each_read_of_records(self, monkeypatch):
         calls = []

@@ -33,7 +33,7 @@ from reboost.cli import (
     main,
 )
 from reboost.cli.model_io import model_from_text, model_to_text
-from reboost.core import Dataset, Task
+from reboost.core import Dataset, InvalidInputError, Task
 from reboost.losses import LossKind
 from reboost.synthdata import SparseDictionarySpec, gen_sparse_dictionary_instance
 
@@ -78,7 +78,9 @@ class TestPredictModelErrors:
         lines = [f"features={count}" if ln.startswith("features=") else ln
                  for ln in model_lines]
         assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
-        assert f"features= must be >= 1, got {count}" in capsys.readouterr().err
+        expected = {"-1": "features= must be ASCII digits, got '-1'",  # a sign is not a digit
+                    "0": "features= must be >= 1, got 0"}[count]
+        assert expected in capsys.readouterr().err
 
     def test_bad_term_json(self, tmp_path, model_lines):
         lines = [ln + "}" if ln.startswith("term ") else ln for ln in model_lines]
@@ -138,6 +140,35 @@ class TestPredictModelErrors:
         assert str(keys)[1:-1] in err
         assert err.endswith(" are not each of ['loss=', 'task=', 'features=', 'seed=', "
                             "'intercept=', 'terms='] once\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ls: [ln.replace("features=2", "features=1_0") for ln in ls],
+         "features= must be ASCII digits, got '1_0'"),
+        (lambda ls: [ln.replace("seed=0", "seed=\u0661\u0662") for ln in ls],
+         "seed= must be ASCII digits, got '\u0661\u0662'"),
+        (lambda ls: [ln.replace("terms=3", "terms= 3 ") for ln in ls],
+         "terms= must be ASCII digits, got ' 3 '"),
+        (lambda ls: [ln.replace("seed=0", "seed=-7") for ln in ls],
+         "seed= must be ASCII digits, got '-7'"),
+        (lambda ls: ["reboost-model +1"] + ls[1:],
+         "format version must be ASCII digits, got '+1'"),
+    ], ids=["underscore", "arabic-indic-digits", "spaces", "negative-seed", "signed-version"])
+    def test_integer_fields_are_ascii_digits(self, tmp_path, model_lines, edit, message,
+                                             capsys):
+        # int() takes each of these; the writer writes none of them
+        lines = edit(model_lines)
+        assert lines != model_lines
+        assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: model {message}\n"
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "3", np.int64(3)],
+                             ids=["negative", "bool", "float", "str", "numpy-int"])
+    def test_writer_takes_only_a_seed_the_reader_loads(self, model_lines, seed):
+        model = model_from_text(with_checksum(model_lines))[0]
+        with pytest.raises(InvalidInputError, match=r"model seed must be an int >= 0, got "):
+            model_to_text(model, LossKind.SQUARED, Task.REGRESSION, seed)
+        assert model_from_text(model_to_text(model, LossKind.SQUARED, Task.REGRESSION,
+                                             2 ** 70))[3] == 2 ** 70
 
     @pytest.mark.parametrize("loss", ["logistic", "exponential"])
     def test_margin_loss_needs_a_classification_task(self, tmp_path, model_lines, loss, capsys):

@@ -40,23 +40,26 @@ def random_stump(rng, n_features=3):
                  threshold=rng.normal())
 
 
-def path_trace(steps):
-    """The trace of a path with the given (alpha_k, beta_k) per step."""
-    return TrainTrace([TraceRecord(k, "g", beta, alpha, 1.0)
-                       for k, (alpha, beta) in enumerate(steps, 1)])
+def path_trace(steps, learners=None, n_features=1):
+    """The trace of a path with the given (alpha_k, beta_k) per step, over
+    ``learners`` (default: the constant stump 1 at every step)."""
+    trace = TrainTrace(n_features)
+    for (alpha, beta), g in zip(steps, learners or [stump(1.0)] * len(steps)):
+        trace.add(g, beta, alpha, 1.0)
+    return trace
 
 
 def random_path(rng, n_terms=5, n_features=3):
-    """(learners, trace) of a random path with alpha_k in [0, 0.5)."""
+    """The trace of a random path with alpha_k in [0, 0.5)."""
     learners = [random_stump(rng, n_features) for _ in range(n_terms)]
     steps = [(0.5 * rng.random(), rng.normal()) for _ in range(n_terms)]
-    return learners, path_trace(steps)
+    return path_trace(steps, learners, n_features)
 
 
-def extended(learners, trace, steps):
-    """The path followed by further (alpha, beta, learner) steps."""
-    records = [(r.alpha, r.beta) for r in trace.records] + [(a, b) for a, b, _ in steps]
-    return list(learners) + [g for _, _, g in steps], path_trace(records)
+def extended(trace, steps):
+    """The trace of the path followed by further (alpha, beta, learner) steps."""
+    return path_trace(list(zip(trace.alphas, trace.betas)) + [(a, b) for a, b, _ in steps],
+                      trace.learners + [g for _, _, g in steps], trace.n_features)
 
 
 class TestDataset:
@@ -127,7 +130,7 @@ class TestPredict:
             if i % 5 == 0:
                 steps.append((0.1, rng.normal()))
                 learners.append(CountingConstant(-0.25, calls))
-        model = EnsembleModel.from_path(learners, path_trace(steps), n_features=1)
+        model = path_trace(steps, learners).model()
         got = model.predict(np.zeros((4, 1)))
         assert calls == [1.5, -0.25]
         ones = [g.value == 1.5 for g in model.learners]
@@ -159,37 +162,31 @@ class TestRescale:
 
     def test_alpha_zero_is_identity(self):
         rng = np.random.default_rng(1)
-        learners, trace = random_path(rng)
-        before = EnsembleModel.from_path(learners, trace, n_features=3)
-        after = EnsembleModel.from_path(*extended(learners, trace, [(0.0, 2.0, stump(1.0))]),
-                                        n_features=3)
+        trace = random_path(rng)
+        before = trace.model()
+        after = extended(trace, [(0.0, 2.0, stump(1.0))]).model()
         assert np.array_equal(after.coefs[:-1], before.coefs)
         assert after.coefs[-1] == 2.0
 
     def test_constant_model_scales(self):
-        trace = path_trace([(0.0, 4.0), (0.75, 0.0)])
-        model = EnsembleModel.from_path([stump(1.0), stump(5.0)], trace, n_features=1)
+        model = path_trace([(0.0, 4.0), (0.75, 0.0)], [stump(1.0), stump(5.0)]).model()
         assert model.predict([[0.0]]) == pytest.approx(1.0)
 
     def test_rescale_scales_all_predictions(self):
         rng = np.random.default_rng(2)
-        learners, trace = random_path(rng)
+        trace = random_path(rng)
         X = rng.normal(size=(20, 3))
-        before = EnsembleModel.from_path(learners, trace, n_features=3).predict(X)
-        after = EnsembleModel.from_path(*extended(learners, trace, [(0.3, 0.0, stump(1.0))]),
-                                        n_features=3)
+        before = trace.model().predict(X)
+        after = extended(trace, [(0.3, 0.0, stump(1.0))]).model()
         assert np.allclose(after.predict(X), 0.7 * before, rtol=1e-12)
 
     def test_rescale_composition(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(15, 3))
         a, b = 0.2, 0.45
-        learners, trace = random_path(np.random.default_rng(42))
-        m1 = EnsembleModel.from_path(*extended(learners, trace, [(a, 0.0, stump(1.0)),
-                                                                 (b, 0.0, stump(1.0))]),
-                                     n_features=3)
-        m2 = EnsembleModel.from_path(*extended(learners, trace, [
-            (1.0 - (1.0 - a) * (1.0 - b), 0.0, stump(1.0))]), n_features=3)
+        trace = random_path(np.random.default_rng(42))
+        m1 = extended(trace, [(a, 0.0, stump(1.0)), (b, 0.0, stump(1.0))]).model()
+        m2 = extended(trace, [(1.0 - (1.0 - a) * (1.0 - b), 0.0, stump(1.0))]).model()
         assert np.allclose(m1.predict(X), m2.predict(X), rtol=1e-12, atol=1e-14)
 
     def test_invalid_alpha(self):
@@ -198,13 +195,12 @@ class TestRescale:
                 steps = [(0.5, 1.0)] * 3
                 steps[step - 1] = (bad, 1.0)
                 with pytest.raises(InvalidInputError, match=f"alpha_{step} = "):
-                    EnsembleModel.from_path([stump(1.0)] * 3, path_trace(steps), n_features=1)
+                    path_trace(steps).model()
 
     def test_alpha_one_zeroes_model(self):
         rng = np.random.default_rng(6)
-        learners, trace = random_path(rng)
-        model = EnsembleModel.from_path(*extended(learners, trace, [(1.0, 3.0, stump(1.0))]),
-                                        n_features=3)
+        trace = random_path(rng)
+        model = extended(trace, [(1.0, 3.0, stump(1.0))]).model()
         assert np.array_equal(model.coefs, [0.0] * len(trace) + [3.0])
         assert np.array_equal(model.predict(rng.normal(size=(10, 3))), np.full(10, 3.0))
 
@@ -212,18 +208,16 @@ class TestRescale:
 class TestCoefs:
     def test_no_rescale_keeps_betas(self):
         betas = [1.5, -2.0, 0.25]
-        model = EnsembleModel.from_path([stump(1.0)] * 3, path_trace([(0.0, b) for b in betas]),
-                                        n_features=1)
+        model = path_trace([(0.0, b) for b in betas]).model()
         assert np.array_equal(model.coefs, betas)
 
     def test_single_term(self):
-        model = EnsembleModel.from_path([stump(1.0)], path_trace([(1.0, 3.0)]), n_features=1)
+        model = path_trace([(1.0, 3.0)]).model()
         assert model.coefs.tolist() == [3.0]
 
     def test_hand_expanded_recursion(self):
         # beta = (1, 1) with a 3/5 rescale in between: coefficients (0.4, 1)
-        model = EnsembleModel.from_path([stump(1.0)] * 2, path_trace([(0.0, 1.0), (0.6, 1.0)]),
-                                        n_features=1)
+        model = path_trace([(0.0, 1.0), (0.6, 1.0)]).model()
         assert model.coefs == pytest.approx([0.4, 1.0])
 
     def test_predict_matches_incremental_recursion(self):
@@ -237,19 +231,18 @@ class TestCoefs:
             steps.append((alpha, beta))
             learners.append(g)
             expected = (1.0 - alpha) * expected + beta * g.evaluate(X)
-        model = EnsembleModel.from_path(learners, path_trace(steps), n_features=3)
+        model = path_trace(steps, learners, 3).model()
         assert np.allclose(model.predict(X), expected, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("upto", [-1, 4])
     def test_prefix_outside_path(self, upto):
         with pytest.raises(InvalidInputError, match=f"prefix {upto} outside"):
-            EnsembleModel.from_path([stump(1.0)] * 3, path_trace([(0.0, 1.0)] * 3), upto,
-                                    n_features=1)
+            path_trace([(0.0, 1.0)] * 3).model(upto)
 
     def test_many_rescales_predict_finite(self):
         # the first coefficient shrinks by 100x per step, below the smallest double
         steps = [(0.0, 1.0)] + [(1.0 - 1e-2, 1.0)] * 500
-        model = EnsembleModel.from_path([stump(1.0)] * 501, path_trace(steps), n_features=1)
+        model = path_trace(steps).model()
         assert model.coefs[0] == 0.0
         assert np.isfinite(model.predict([[0.0]])[0])
 
@@ -278,27 +271,26 @@ class TestTruncate:
 
 class TestTrainTrace:
     def test_orders_records(self):
-        t = TrainTrace()
-        t.append(TraceRecord(1, "s", 0.1, 0.0, 1.0))
-        with pytest.raises(InvalidInputError):
-            t.append(TraceRecord(3, "s", 0.1, 0.0, 1.0))
+        t = TrainTrace(1)
+        t.add(stump(1.0), 0.1, 0.0, 1.0)
+        t.add(stump(2.0), 0.2, 0.5, 0.5, "capped-beta")
+        assert t.records == [TraceRecord(1, stump(1.0).describe(), 0.1, 0.0, 1.0),
+                             TraceRecord(2, stump(2.0).describe(), 0.2, 0.5, 0.5, "capped-beta")]
 
     def test_rejects_nonfinite_risk(self):
-        t = TrainTrace()
-        with pytest.raises(InvalidInputError):
-            t.append(TraceRecord(1, "s", 0.1, 0.0, float("inf")))
-
-    @pytest.mark.parametrize("records, message", [
-        ([TraceRecord(2, "s", 0.1, 0.0, 1.0)], "ordered k=1,2"),
-        ([TraceRecord(1, "s", 0.1, 0.0, 1.0), TraceRecord(1, "s", 0.1, 0.0, 1.0)],
-         "ordered k=1,2"),
-        ([TraceRecord(1, "s", 0.1, 0.0, float("nan"))], "non-finite risk at iteration 1"),
-    ], ids=["starts-at-2", "repeats-k", "nan-risk"])
-    def test_constructor_checks_like_append(self, records, message):
-        with pytest.raises(InvalidInputError, match=message):
-            TrainTrace(records)
+        t = TrainTrace(1)
+        t.add(stump(1.0), 0.1, 0.0, 1.0)
+        for risk in (float("inf"), float("nan")):
+            with pytest.raises(InvalidInputError, match="non-finite risk at iteration 2"):
+                t.add(stump(1.0), 0.1, 0.0, risk)
+        assert len(t) == 1 and t.risks.tolist() == [1.0]
 
     def test_constructor_keeps_valid_records(self):
-        records = [TraceRecord(k, "s", 0.1, 0.0, 1.0 / k) for k in (1, 2, 3)]
-        t = TrainTrace(records, stopped_early="done")
-        assert t.records == records and len(t) == 3 and t.stopped_early == "done"
+        t = TrainTrace(4)
+        assert len(t) == 0 and t.records == [] and t.stopped_early is None
+        assert len(t.model()) == 0 and t.model().n_features == 4
+        for k in (1, 2, 3):
+            t.add(stump(float(k)), 0.1, 0.0, 1.0 / k)
+        assert t.records == [TraceRecord(k, stump(float(k)).describe(), 0.1, 0.0, 1.0 / k)
+                             for k in (1, 2, 3)]
+        assert len(t) == 3 and t.model().n_features == 4

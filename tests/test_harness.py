@@ -157,8 +157,7 @@ class TestPathPredictions:
         data = toy_dataset(1)
         model, trace = train(data, TrainConfig(12, LossKind.SQUARED,
                                                StumpLearner(), Plain()), 0)
-        full = EnsembleModel.from_path(model.learners, trace,
-                                       n_features=model.n_features).predict(data.features)
+        full = trace.model().predict(data.features)
         assert np.allclose(full, model.predict(data.features), rtol=1e-10)
 
     def test_curve_matches_manual_prefixes(self):
@@ -168,8 +167,7 @@ class TestPathPredictions:
                                                StumpLearner(), Plain()), 0)
         curve = validation_curve(model, trace, val)
         for k in (1, 4, 8):
-            preds = EnsembleModel.from_path(model.learners, trace, k,
-                                            n_features=model.n_features).predict(val.features)
+            preds = trace.model(k).predict(val.features)
             assert curve[k - 1] == pytest.approx(rmse(preds, val.targets))
 
 
@@ -225,7 +223,7 @@ class TestValidationCurve:
 
     def test_empty_trace(self):
         val = toy_dataset(5, m=9)
-        curve = validation_curve(EnsembleModel(2, [], []), TrainTrace(), val)
+        curve = validation_curve(EnsembleModel(2, [], []), TrainTrace(2), val)
         assert curve.dtype == np.float64 and curve.shape == (0,)
 
     def test_buffer_memory_is_bounded(self, monkeypatch):
@@ -275,8 +273,7 @@ class TestTune:
             model, trace = train(tr, TrainConfig(15, LossKind.SQUARED,
                                                  StumpLearner(), Truncated(t0)), 0)
             for k in range(1, len(trace) + 1):
-                prefix = EnsembleModel.from_path(model.learners, trace, k,
-                                                 n_features=model.n_features)
+                prefix = trace.model(k)
                 m = rmse(prefix.predict(va.features), va.targets)
                 key = (m, k, idx)
                 if best is None or key < best:
@@ -306,8 +303,7 @@ class TestTune:
         assert len(res.model) == res.best_k
         variant = dict(variant_cells(method))[res.params]
         model, trace = train(tr, TrainConfig(10, *config, variant))
-        prefix = EnsembleModel.from_path(model.learners, trace, res.best_k,
-                                         n_features=model.n_features)
+        prefix = trace.model(res.best_k)
         X = gen_orange(50, 1, 2).features
         assert res.model.predict(X).tobytes() == prefix.predict(X).tobytes()
         assert res.val_metric == validation_curve(model, trace, va)[res.best_k - 1]

@@ -10,7 +10,7 @@ task. Small random classification samples can be separable, so some runs
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from reboost.boosters import (
@@ -27,7 +27,7 @@ from reboost.boosters import (
     train,
 )
 from reboost.cli.model_io import model_from_text, model_to_text
-from reboost.core import Dataset, EnsembleModel, InvalidInputError, Task
+from reboost.core import Dataset, InvalidInputError, Task
 from reboost.learners import IntervalAtom
 from reboost.losses import LossKind, empirical_risk
 from reboost.synthdata import (
@@ -103,8 +103,7 @@ def test_predict_risk_equals_trace_risk(variant, hyp):
 def test_full_path_replay_equals_predict(variant, hyp):
     data, _, model, trace = hyp.draw(trained_runs(variant))
     preds = model.predict(data.features)
-    replayed = EnsembleModel.from_path(model.learners, trace,
-                                       n_features=model.n_features).predict(data.features)
+    replayed = trace.model().predict(data.features)
     scale = np.max(np.abs(preds), initial=1.0)
     assert np.allclose(replayed, preds, rtol=1e-9, atol=1e-12 * scale)
 
@@ -118,8 +117,7 @@ def test_every_prefix_predicts_as_the_replay(variant, hyp):
     # largest prediction along the path so far
     data, _, model, trace = hyp.draw(trained_runs(variant))
     X = data.features
-    def prefix(k):
-        return EnsembleModel.from_path(model.learners, trace, k, n_features=model.n_features)
+    prefix = trace.model
 
     replay = np.zeros(data.n_samples)
     assert np.array_equal(prefix(0).predict(X), replay)
@@ -157,3 +155,77 @@ def test_long_dictionary_path_round_trips_and_matches_its_trace():
     risk = empirical_risk(LossKind.SQUARED, preds, data.targets)
     zero_risk = empirical_risk(LossKind.SQUARED, np.zeros(data.n_samples), data.targets)
     assert np.isclose(risk, trace.records[-1].risk, rtol=1e-9, atol=1e-12 * zero_risk)
+
+
+ORTHONORMAL_VARIANTS = {  # family -> strategy of its variants
+    "plain": st.just(Plain()),
+    "rescale": st.floats(0.0, 20.0).flatmap(lambda u: st.builds(
+        lambda c: Rescale(ShrinkageSchedule(c, u)), st.floats(0.0, min(2.0, 1.0 + u)))),
+    "shrunk": st.builds(Shrunk, st.floats(0.01, 1.0)),
+    "truncated": st.builds(Truncated, st.floats(0.1, 4.0), st.floats(0.0, 1.5)),
+    "epsilon": st.builds(Epsilon, st.floats(0.01, 0.5)),
+}
+
+
+def orthonormal_step(variant, k: int, c: np.ndarray, b: np.ndarray, j: int) -> float:
+    """s_k of step k on atom j, from b after its rescale: the exact step of
+    each variant when the atoms are orthonormal and the loss is squared."""
+    gap = c[j] - b[j]
+    if isinstance(variant, Shrunk):
+        return variant.nu * gap
+    if isinstance(variant, Truncated):
+        t = variant.t0 * k ** -variant.exponent
+        return min(max(gap, -t), t)
+    if isinstance(variant, Epsilon):
+        return variant.eps * np.sign(gap)
+    return gap
+
+
+@pytest.mark.parametrize("family", list(ORTHONORMAL_VARIANTS))
+@settings(max_examples=40, deadline=None)
+@given(hyp=st.data())
+def test_orthonormal_dictionary_path_is_the_coefficient_recursion(family, hyp):
+    # The atoms' Gram matrix is the identity, so with c = G^T y and f = G b
+    # the squared-loss inner products are 2 (c - b) and a step on atom j
+    # moves b_j alone: select j_k = argmax |c - b| from f_{k-1}, rescale
+    # b <- (1 - alpha_k) b, then add s_k to b_j. Rounding makes the entries
+    # of c - b noisy on the scale of max |c|, so an example stops being
+    # compared at a near tie: the top two |c - b| within 1e-9 of max |c|.
+    # That covers the end of a path too, where every entry is 0 or noise
+    # and the trained path may stop or take steps of rounding size.
+    variant = hyp.draw(ORTHONORMAL_VARIANTS[family])
+    n = hyp.draw(st.integers(1, 40))
+    spec = SparseDictionarySpec(hyp.draw(st.integers(n, 4 * n)), n,
+                                hyp.draw(st.integers(1, n)), hyp.draw(st.floats(0.5, 8.0)))
+    data, atoms, _, _ = gen_sparse_dictionary_instance(spec, hyp.draw(st.integers(0, 2 ** 32 - 1)))
+    k_max = hyp.draw(st.integers(1, 150))
+    _, trace = train(data, TrainConfig(k_max, LossKind.SQUARED, DictionaryLearner(atoms), variant))
+
+    c = np.column_stack([a.evaluate(data.features) for a in atoms]).T @ data.targets
+    tie = 1e-9 * np.max(np.abs(c))
+    slot = {atom: i for i, atom in enumerate(atoms)}
+    b = np.zeros(n)
+    k = 0  # the last step compared
+    while k < k_max:
+        gap = np.abs(c - b)
+        top = np.sort(gap)[::-1]
+        if top[0] - (top[1] if n > 1 else 0.0) <= tie:  # a zero top entry too
+            event("near tie")
+            break
+        k += 1
+        j = int(np.argmax(gap))
+        if isinstance(variant, Rescale):
+            b *= 1.0 - variant.schedule.c / (k + variant.schedule.u)
+        s = orthonormal_step(variant, k, c, b, j)
+        b[j] += s
+        assert k <= len(trace), trace.stopped_early
+        assert slot[trace.learners[k - 1]] == j, k
+        beta = trace.betas[k - 1]
+        # a step is a difference c_j - b_j: its rounding scales with c_j
+        assert abs(beta - s) <= 1e-12 * max(abs(s), abs(c[j])), (k, beta, s)
+    else:
+        event("whole path compared")
+        assert len(trace) == k_max and trace.stopped_early is None
+    per_atom = np.zeros(n)
+    np.add.at(per_atom, [slot[g] for g in trace.learners[:k]], trace.model(k).coefs)
+    assert np.max(np.abs(per_atom - b)) <= 1e-12 * np.max(np.abs(b), initial=0.0)
