@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import functools
 import logging
+import re
 import sys
 from dataclasses import astuple, fields
 
@@ -68,9 +69,17 @@ def _phase(code: int):
         raise
 
 
+def _integer(text: str) -> int:
+    """The type of every integer flag: an optional '-' and ASCII digits, not
+    the '+', spaces, '_' or other scripts' digits that int() also takes."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"must be an integer of ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _seed(text: str) -> int:
     """The type of every ``--seed``: numpy's seeding takes integers >= 0."""
-    seed = int(text)
+    seed = _integer(text)
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
     return seed
@@ -138,29 +147,6 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-_TOY_SIZES = {  # train rows, validation rows, noiseless test rows
-    "m1": (500, 500, 1000),
-    "m2": (500, 500, 1000),
-}
-ORANGE_SIZES = (100, 100, 2000)  # per-class: train, validation, test
-
-
-def _toy_provider(experiment: str, sigma: float, q: int):
-    def provider(seed: int):
-        subs = [int(s) for s in np.random.SeedSequence(seed).generate_state(3)]
-        if experiment == "orange":
-            n_tr, n_val, n_te = ORANGE_SIZES
-            return (synthdata.gen_orange(n_tr, q, subs[0]),
-                    synthdata.gen_orange(n_val, q, subs[1]),
-                    synthdata.gen_orange(n_te, q, subs[2]))
-        n_tr, n_val, n_te = _TOY_SIZES[experiment]
-        spec_cls = synthdata.M1Spec if experiment == "m1" else synthdata.M2Spec
-        return (synthdata.gen_regression(spec_cls(n_tr, sigma), "train", subs[0]),
-                synthdata.gen_regression(spec_cls(n_val, sigma), "validation", subs[1]),
-                synthdata.gen_regression(spec_cls(n_te, 0.0), "test_noiseless", subs[2]))
-    return provider
-
-
 def _run_experiment(args, provider, grid, loss, learner) -> int:
     """The shared tail of ``simulate`` and ``bench``: run every method over
     ``args.runs`` seeds, then write and print the report."""
@@ -183,12 +169,12 @@ def _print_report(report: harness.ExperimentReport) -> None:
 
 
 def cmd_simulate(args) -> int:
-    if args.experiment == "orange":
-        loss, learner, k_max = LossKind.LOGISTIC, boosters.StumpLearner(), 1000
-    else:
-        loss, learner, k_max = LossKind.SQUARED, boosters.TreeLearner(4), 500
+    _, _, loss, learner, k_max = harness.EXPERIMENTS[args.experiment]
     grid = harness.TuningGrid(k_max=k_max if args.k_max is None else args.k_max)
-    provider = _toy_provider(args.experiment, args.sigma, args.q)
+
+    def provider(seed: int):
+        subs = [int(s) for s in np.random.SeedSequence(seed).generate_state(3)]
+        return harness.experiment_sets(args.experiment, subs, args.sigma, args.q)
     return _run_experiment(args, provider, grid, loss, learner)
 
 
@@ -265,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("regression", "classification"), default="regression")
     p.add_argument("--loss", choices=[k.value for k in LossKind], default="squared")
     p.add_argument("--learner", choices=("stump", "tree"), default="stump")
-    p.add_argument("--splits", type=int, default=4, help="tree split count J")
+    p.add_argument("--splits", type=_integer, default=4, help="tree split count J")
     p.add_argument("--variant", choices=harness.METHODS, default="rescale")
     p.add_argument("--u", type=float, help="rescale schedule 2/(k+u), u >= 1")
     p.add_argument("--nu", type=float, help="shrunk step factor in (0,1]")
@@ -274,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="truncated bound t_k = t0 * k^(-exponent); finite and >= 0 "
                         "(default 2/3)")
     p.add_argument("--eps", type=float, help="epsilon step size")
-    p.add_argument("--iterations", "-k", type=int, default=100)
+    p.add_argument("--iterations", "-k", type=_integer, default=100)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--model-out", required=True)
     p.add_argument("--trace-out")
@@ -288,14 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("simulate", help="reproduce a toy experiment")
-    p.add_argument("--experiment", choices=("m1", "m2", "orange"), required=True)
+    p.add_argument("--experiment", choices=tuple(harness.EXPERIMENTS), required=True)
     p.add_argument("--sigma", type=float, default=0.0,
                    help="noise standard deviation (m1/m2), finite and >= 0")
-    p.add_argument("--q", type=int, default=0, help="noise feature count (orange)")
-    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--q", type=_integer, default=0, help="noise feature count (orange)")
+    p.add_argument("--runs", type=_integer, default=10)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--k-max", type=int,
-                   help="iterations per training, >= 1 (default 500 for m1/m2, 1000 for orange)")
+    p.add_argument("--k-max", type=_integer,
+                   help="iterations per training, >= 1 (default " + ", ".join(
+                       f"{row[4]} for {name}" for name, row in harness.EXPERIMENTS.items()) + ")")
     p.add_argument("--methods", nargs="+", choices=harness.METHODS)
     p.add_argument("--report-out")
     p.set_defaults(func=cmd_simulate)
@@ -303,20 +290,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark all methods on a dataset CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--task", choices=("regression", "classification"), required=True)
-    p.add_argument("--runs", type=int, default=20)
+    p.add_argument("--runs", type=_integer, default=20)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--k-max", type=int, help="iterations per training, >= 1 (default 1000)")
+    p.add_argument("--k-max", type=_integer, help="iterations per training, >= 1 (default 1000)")
     p.add_argument("--methods", nargs="+", choices=harness.METHODS)
     p.add_argument("--report-out")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("convergence", help="empirical convergence-rate check "
                                            "on the sparse dictionary instance")
-    p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--atoms", type=int, default=64)
-    p.add_argument("--sparsity", type=int, default=4)
+    p.add_argument("--samples", type=_integer, default=256)
+    p.add_argument("--atoms", type=_integer, default=64)
+    p.add_argument("--sparsity", type=_integer, default=4)
     p.add_argument("--coef-norm", type=float, default=4.0)
-    p.add_argument("--k-max", type=int, default=1024)
+    p.add_argument("--k-max", type=_integer, default=1024)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report-out")
     p.set_defaults(func=cmd_convergence)

@@ -2,8 +2,8 @@
 
 Models are persisted as their effective per-term coefficients, one term
 record per line, floats printed with 17 significant digits so coefficients
-and predictions round-trip exactly. A CRC-32 footer over all preceding
-lines guards against truncation and corruption.
+and predictions round-trip exactly. A CRC-32 footer of 8 lowercase hex
+digits over all preceding lines guards against truncation and corruption.
 
 Every line between the format line and the footer is a term or one of
 the six header fields, each present once. The format version,
@@ -196,12 +196,11 @@ def _parse_model(text: str) -> tuple[EnsembleModel, LossKind, Task, int]:
     if not lines or not lines[-1].startswith("checksum="):
         raise InvalidInputError("model file has no checksum footer")
     body = "\n".join(lines[:-1]) + "\n"
-    expected = int(lines[-1].split("=", 1)[1], 16)
-    actual = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    if actual != expected:
+    footer = lines[-1].removeprefix("checksum=")
+    actual = f"{zlib.crc32(body.encode('utf-8')) & 0xFFFFFFFF:08x}"
+    if footer != actual:  # the writer's text alone: int(footer, 16) takes " 1f", 0x1f, 1_f, 1F
         raise InvalidInputError(
-            f"model checksum mismatch: file says {expected:08x}, content is {actual:08x}"
-        )
+            f"model checksum mismatch: file says {footer!r}, content is {actual}")
 
     header = lines[0].split()
     if len(header) != 2 or header[0] != FORMAT_NAME:

@@ -1,5 +1,7 @@
-"""Experiment orchestration: splits, tuning grids, repeated seeded runs,
-metrics, and the log-log convergence-rate diagnostic.
+"""Experiment orchestration: the paper's toy experiments, each defined once
+in ``EXPERIMENTS`` (sizes, generator, loss, learner and default k_max) and
+built from three seeds by ``experiment_sets``; splits, tuning grids,
+repeated seeded runs, metrics, and the log-log convergence-rate diagnostic.
 
 Hyperparameters are selected on a validation set by evaluating the metric
 at every prefix of the boosting path (no retraining per candidate k). The
@@ -17,13 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from reboost import synthdata
 from reboost.boosters import (
     Epsilon,
     Plain,
     Rescale,
     ShrinkageSchedule,
     Shrunk,
+    StumpLearner,
     TrainConfig,
+    TreeLearner,
     Truncated,
     train,
 )
@@ -35,6 +40,7 @@ from reboost.core import (
     Task,
     TrainTrace,
 )
+from reboost.losses import LossKind
 
 log = logging.getLogger(__name__)
 
@@ -52,6 +58,25 @@ FAMILIES = {
     "truncated": ("t0", Truncated, (0.5, 1.0, 2.0, 4.0)),
     "epsilon": ("eps", Epsilon, tuple(np.linspace(0.01, 1.0, 20))),
 }
+
+# name -> (sizes, make, loss, learner, k_max): the (train, validation, test)
+# rows (per class for orange), make(rows, role, seed, sigma, q) building one
+# dataset, and the loss, learner and default path length of the sweep
+EXPERIMENTS = {
+    "m1": ((500, 500, 1000), lambda n, role, seed, sigma, q: synthdata.gen_regression(
+        synthdata.M1Spec(n, sigma), role, seed), LossKind.SQUARED, TreeLearner(4), 500),
+    "m2": ((500, 500, 1000), lambda n, role, seed, sigma, q: synthdata.gen_regression(
+        synthdata.M2Spec(n, sigma), role, seed), LossKind.SQUARED, TreeLearner(4), 500),
+    "orange": ((100, 100, 2000), lambda n, role, seed, sigma, q: synthdata.gen_orange(n, q, seed),
+               LossKind.LOGISTIC, StumpLearner(), 1000),
+}
+
+
+def experiment_sets(name: str, seeds, sigma: float = 0.0, q: int = 0):
+    """(train, validation, test) of ``EXPERIMENTS[name]``: set i from seeds[i], role ROLES[i]."""
+    sizes, make, *_ = EXPERIMENTS[name]
+    return tuple(make(n, role, seed, sigma, q)
+                 for n, role, seed in zip(sizes, synthdata.ROLES, seeds, strict=True))
 
 
 class TuningError(RuntimeError):

@@ -141,16 +141,13 @@ def capture_run(data, loss, learner, variant, steps, probe):
 
 def sweep_cases():
     """name -> (train, validation, test, loss, learner, k_max): one run of
-    every method at the CLI's sizes, m2 at sigma 0.3 and orange at q = 1."""
-    m2 = synthdata.M2Spec(500, 0.3)
-    return {
-        "m2": (synthdata.gen_regression(m2, "train", 0),
-               synthdata.gen_regression(m2, "validation", 1),
-               synthdata.gen_regression(synthdata.M2Spec(1000, 0.0), "test_noiseless", 2),
-               LossKind.SQUARED, TreeLearner(4), 5),
-        "orange": (synthdata.gen_orange(100, 1, 0), synthdata.gen_orange(100, 1, 1),
-                   synthdata.gen_orange(2000, 1, 2), LossKind.LOGISTIC, StumpLearner(), 10),
-    }
+    every method on the datasets of ``harness.EXPERIMENTS``, m1 at sigma
+    0.5, m2 at sigma 0.3 and orange at q = 1, with short paths."""
+    cases = {}
+    for name, sigma, q, k_max in (("m1", 0.5, 0, 5), ("m2", 0.3, 0, 5), ("orange", 0.0, 1, 10)):
+        _, _, loss, learner, _ = harness.EXPERIMENTS[name]
+        cases[name] = (*harness.experiment_sets(name, (0, 1, 2), sigma, q), loss, learner, k_max)
+    return cases
 
 
 def capture_sweep(train_set, val_set, test_set, loss, learner, k_max):

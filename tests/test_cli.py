@@ -29,6 +29,7 @@ from reboost.cli import (
     EXIT_NETWORK,
     EXIT_OK,
     EXIT_TRAIN,
+    build_parser,
     fetch,
     main,
 )
@@ -160,6 +161,20 @@ class TestPredictModelErrors:
         assert lines != model_lines
         assert predict(tmp_path, with_checksum(lines)) == EXIT_DATA
         assert capsys.readouterr().err == f"error: model {message}\n"
+
+    @pytest.mark.parametrize("edit", [
+        lambda crc: f" {crc} ", lambda crc: f"0x{crc}", lambda crc: f"{crc[:4]}_{crc[4:]}",
+        str.upper, lambda crc: f"+{crc}", lambda crc: f"{int(crc, 16) ^ 1:08x}",
+    ], ids=["spaces", "0x-prefix", "underscore", "uppercase", "plus-sign", "other-content"])
+    def test_checksum_footer_is_the_written_checksum(self, tmp_path, model_lines, edit, capsys):
+        # int(footer, 16) read all but the last as the right checksum; the
+        # writer writes 8 lowercase hex digits alone
+        body, _, crc = with_checksum(model_lines).rstrip("\n").rpartition("checksum=")
+        footer = edit(crc)
+        assert footer != crc
+        assert predict(tmp_path, f"{body}checksum={footer}\n") == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: model checksum mismatch: file says {footer!r}, content is {crc}\n")
 
     @pytest.mark.parametrize("seed", [-1, True, 1.0, "3", np.int64(3)],
                              ids=["negative", "bool", "float", "str", "numpy-int"])
@@ -381,6 +396,19 @@ def toy_table(tmp_path, sha256):
                  f"[toy]\nurl = {raw.as_uri()}\nsha256 = {sha256}\nformat = csv-target-last\n")
 
 
+# (sub-command with its required flags, integer flag), for every integer flag
+INTEGER_FLAGS = [
+    pytest.param(command, flag, id=f"{command[0]}{flag}")
+    for command, flags in [
+        (["train", "--data", "d.csv", "--model-out", "m.txt"], ["--splits", "--iterations"]),
+        (["simulate", "--experiment", "m1"], ["--q", "--runs", "--k-max"]),
+        (["bench", "--data", "d.csv", "--task", "regression"], ["--runs", "--k-max"]),
+        (["convergence"], ["--samples", "--atoms", "--sparsity", "--k-max"]),
+    ]
+    for flag in [*flags, "--seed"]
+]
+
+
 class TestExitCodes:
     def test_default_section_is_an_unknown_dataset(self, tmp_path, cache, capsys):
         code = main(["fetch", "--name", "DEFAULT", "--out-dir", str(tmp_path / "out")])
@@ -508,6 +536,24 @@ class TestExitCodes:
         assert exc.value.code == EXIT_FLAGS
         assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("command, flag", INTEGER_FLAGS)
+    def test_integer_flags_take_only_a_sign_and_ascii_digits(self, capsys, command, flag):
+        # int() takes the first five, and train --seed 1_0 wrote seed=10
+        for text in ("1_0", "\u0661\u0662", "+3", " 3", "3 ", "3.0", "0x10", "", "-", "--3"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([*command, f"{flag}={text}"])
+            assert exc.value.code == EXIT_FLAGS
+            err = capsys.readouterr().err  # --iterations is named --iterations/-k
+            assert re.search(f"error: argument {flag}(/-k)?: must be an integer of ASCII "
+                             f"digits, got {re.escape(repr(text))}\n$", err), err
+
+    @pytest.mark.parametrize("command, flag", INTEGER_FLAGS)
+    def test_integer_flags_parse_ascii_digits(self, command, flag):
+        dest = flag[2:].replace("-", "_")
+        assert getattr(build_parser().parse_args([*command, f"{flag}=0012"]), dest) == 12
+        if flag != "--seed":  # a range check after parsing rejects -3, not the type
+            assert getattr(build_parser().parse_args([*command, f"{flag}=-3"]), dest) == -3
 
     @pytest.mark.parametrize("level", ["-1", "0", "nan"])
     def test_bad_truncation_level_exits_2_before_reading_files(self, tmp_path, capsys, level):

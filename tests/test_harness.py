@@ -1,7 +1,9 @@
+import importlib.util
 import logging
 import re
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from reboost.harness import (
     variant_cells,
 )
 from reboost.losses import LossKind
-from reboost.synthdata import M2Spec, gen_orange, gen_regression
+from reboost.synthdata import M2Spec, gen_orange, gen_regression, m1, m2
 
 
 def toy_dataset(seed=0, m=80):
@@ -69,6 +71,47 @@ class TestGrids:
 
     def test_grid_holds_only_the_path_length(self):
         assert [f.name for f in fields(TuningGrid)] == ["k_max"]
+
+
+class TestExperiments:
+    @pytest.mark.parametrize("name, sigma, q", [("m1", 0.5, 0), ("m2", 1.0, 0), ("orange", 0.0, 3)])
+    def test_sets_have_the_table_sizes_and_a_noiseless_test_set(self, name, sigma, q):
+        sizes, _, loss, _, _ = harness.EXPERIMENTS[name]
+        sets = harness.experiment_sets(name, (4, 5, 6), sigma, q)
+        per_class = 2 if loss.is_classification else 1
+        assert [s.n_samples for s in sets] == [per_class * n for n in sizes]
+        if name == "orange":
+            assert all(s.n_features == 2 + q for s in sets)
+            return
+        clean = [m1(s.features[:, 0]) if name == "m1" else m2(s.features) for s in sets]
+        assert not np.array_equal(sets[0].targets, clean[0])  # noise in the training role
+        assert np.array_equal(sets[2].targets, clean[2])
+
+    def test_one_seed_per_set(self):
+        with pytest.raises(ValueError):
+            harness.experiment_sets("m2", (0, 1))
+
+
+@pytest.fixture(scope="module")
+def perfbench_workloads():
+    """perfbench/workloads.py, loaded by path: the benchmark is no package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["m2", "orange"])
+def test_benchmark_copy_of_an_experiment_builds_the_table_datasets(perfbench_workloads, name):
+    # the benchmark's m2_sets and orange_sets restate the table's sizes
+    # until its next change: they must not drift from the table before then
+    copy = {"m2": perfbench_workloads.m2_sets, "orange": perfbench_workloads.orange_sets}[name]
+    for input_set in range(16):
+        seeds = perfbench_workloads.input_seeds(input_set, 3)
+        for bench, table in zip(copy(seeds), harness.experiment_sets(name, seeds), strict=True):
+            assert np.array_equal(bench.features, table.features), input_set
+            assert np.array_equal(bench.targets, table.targets), input_set
 
 
 class TestSplitDataset:

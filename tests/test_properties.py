@@ -229,3 +229,55 @@ def test_orthonormal_dictionary_path_is_the_coefficient_recursion(family, hyp):
     per_atom = np.zeros(n)
     np.add.at(per_atom, [slot[g] for g in trace.learners[:k]], trace.model(k).coefs)
     assert np.max(np.abs(per_atom - b)) <= 1e-12 * np.max(np.abs(b), initial=0.0)
+
+
+def soft_threshold_at_l1(c: np.ndarray, budget: float) -> np.ndarray:
+    """S_lam(c) = sign(c) max(|c| - lam, 0), with lam >= 0 chosen so that
+    ||S_lam(c)||_1 = budget (lam = 0 for a budget >= ||c||_1): the lasso
+    path of an orthonormal design at that l1 norm."""
+    a = np.sort(np.abs(c))[::-1]
+    if budget >= a.sum():
+        lam = 0.0
+    else:  # lam_p is the threshold if the top p entries stay nonzero
+        lams = (np.cumsum(a) - budget) / np.arange(1, a.size + 1)
+        active = np.flatnonzero(a > lams)
+        lam = lams[active[-1]] if active.size else a[0]  # a zero budget keeps none
+    return np.sign(c) * np.maximum(np.abs(c) - lam, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hyp=st.data())
+def test_orthonormal_epsilon_boosting_follows_the_lasso(hyp):
+    # Forward stagewise with eps steps on an orthonormal design stays within
+    # eps, per coefficient, of the lasso solution of the same l1 norm
+    # (Efron, Hastie, Johnstone & Tibshirani, Ann. Statist. 2004), after
+    # every step. The bound eps is the claim itself, not fitted to runs. As
+    # in the recursion test above, a step chosen at a near tie of |c - b|
+    # (within 1e-9 of max |c|, a zero top entry too) is chosen by rounding,
+    # so the comparison stops there: with c = 0.5 and eps = 2**-6, the 33rd
+    # step follows a residual of about 1e-16 and overshoots c by eps + 1e-16.
+    eps = hyp.draw(st.floats(0.01, 0.2))
+    n = hyp.draw(st.integers(4, 40))
+    spec = SparseDictionarySpec(hyp.draw(st.integers(n, 4 * n)), n,
+                                hyp.draw(st.integers(1, n)), hyp.draw(st.floats(0.5, 8.0)))
+    data, atoms, _, _ = gen_sparse_dictionary_instance(spec, hyp.draw(st.integers(0, 2 ** 32 - 1)))
+    _, trace = train(data, TrainConfig(hyp.draw(st.integers(1, 300)), LossKind.SQUARED,
+                                       DictionaryLearner(atoms), Epsilon(eps)))
+
+    c = np.column_stack([a.evaluate(data.features) for a in atoms]).T @ data.targets
+    tie = 1e-9 * np.max(np.abs(c))
+    slot = {atom: i for i, atom in enumerate(atoms)}
+    b = np.zeros(n)  # the coefficients of f_k, per atom
+    k = 0  # the last step compared
+    for atom, beta in zip(trace.learners, trace.betas):
+        top = np.sort(np.abs(c - b))[::-1]
+        if top[0] - top[1] <= tie:
+            event("near tie")
+            break
+        k += 1
+        b[slot[atom]] += beta
+        lasso = soft_threshold_at_l1(c, np.abs(b).sum())
+        assert np.max(np.abs(b - lasso)) <= eps, k
+    per_atom = np.zeros(n)
+    np.add.at(per_atom, [slot[g] for g in trace.learners[:k]], trace.model(k).coefs)
+    assert np.array_equal(per_atom, b)
